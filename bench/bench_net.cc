@@ -12,32 +12,25 @@
  * the cost of the network stack — the layer the paper deliberately
  * kept on-machine so it would not hide TM latency.
  *
+ * The server has one write path, a gather writev(2) flush. On branches
+ * whose items can be pinned (Baseline, Semaphore, IP-*) it ships ASCII
+ * GET values straight from the slab, so `--ascii` against such a
+ * branch measures the pinned-GET path; every other run measures
+ * copied replies through the same syscall.
+ *
  * Exits nonzero if any response is lost or the server's served-count
  * disagrees with the number of requests sent, so CI can run it as a
  * correctness gate as well as a benchmark.
  *
  * Usage: bench_net [--branch NAME] [--ops N] [--window N]
  *                  [--threads a,b,c] [--shards N] [--ascii]
- *                  [--backend epoll|writev|io_uring]
  *                  [--timeout-ms N] [--trials K] [--json OUT]
  *                  [--tail] [--tail-json OUT] [--connect PORT]
- *                  [--probe-io-uring]
  *
  * --json writes one tmemc-bench-v1 row per (topology, thread count):
  * bench "bench_net_inproc" for the in-process drive and
  * "bench_net_loopback" for the served one, so the perf gate can watch
  * the network stack's cost separately from the cache's.
- *
- * --backend selects the server's I/O backend (io_backend.h). With a
- * non-epoll backend the loopback row's branch is suffixed with the
- * *effective* backend ("IP-onCommit+writev") so the gate tracks each
- * write path as its own row, and the in-process row is not emitted
- * (it would duplicate the epoll run's). Pair with --ascii to exercise
- * the zero-copy pinned-GET path, which serves ASCII get/gets.
- *
- * --probe-io-uring reports whether the kernel lets this process
- * create an io_uring and exits 0 (available) / 3 (unavailable) — the
- * CI capability gate.
  *
  * --tail arms the per-request tail tracer (obs/tail.h) for every
  * loopback leg, suffixes the loopback row's branch with "+tail" (an
@@ -66,7 +59,6 @@
 
 #include "figure_harness.h"
 #include "mc/cache_iface.h"
-#include "net/io_backend.h"
 #include "net/server.h"
 #include "obs/hist.h"
 #include "obs/metrics.h"
@@ -115,20 +107,11 @@ main(int argc, char **argv)
     // Best-of-K: fixed work, so background load only adds time; the
     // minimum is the noise-robust estimate the perf gate wants.
     std::uint32_t trials = 1;
-    net::IoBackend backend = net::IoBackend::Epoll;
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : "";
         };
-        if (a == "--probe-io-uring") {
-            // CI capability gate: 0 = the kernel lets this process
-            // create a ring, 3 = it does not (ENOSYS/EPERM/seccomp).
-            const bool have = net::ioUringSupported();
-            std::printf("io_uring: %s\n",
-                        have ? "available" : "unavailable");
-            return have ? 0 : 3;
-        }
         if (a == "--branch")
             branch = next();
         else if (a == "--ops")
@@ -156,24 +139,13 @@ main(int argc, char **argv)
                 static_cast<std::uint16_t>(std::atoi(next()));
         else if (a == "--trials")
             trials = static_cast<std::uint32_t>(std::atoi(next()));
-        else if (a == "--backend") {
-            const std::string v = next();
-            if (!net::parseIoBackend(v, backend)) {
-                std::fprintf(stderr,
-                             "unknown --backend '%s' (want epoll, "
-                             "writev, or io_uring)\n",
-                             v.c_str());
-                return 2;
-            }
-        } else {
+        else {
             std::fprintf(stderr,
                          "usage: %s [--branch NAME] [--ops N] "
                          "[--window N] [--threads a,b,c] [--shards N] "
-                         "[--ascii] "
-                         "[--backend epoll|writev|io_uring] "
-                         "[--timeout-ms N] [--trials K] "
+                         "[--ascii] [--timeout-ms N] [--trials K] "
                          "[--json OUT] [--tail] [--tail-json OUT] "
-                         "[--connect PORT] [--probe-io-uring]\n",
+                         "[--connect PORT]\n",
                          argv[0]);
             return 2;
         }
@@ -219,11 +191,10 @@ main(int argc, char **argv)
     }
 
     std::printf("bench_net: branch=%s protocol=%s ops/thread=%llu "
-                "window=%llu shards=%u backend=%s\n",
+                "window=%llu shards=%u\n",
                 branch.c_str(), binary ? "binary" : "ascii",
                 static_cast<unsigned long long>(ops),
-                static_cast<unsigned long long>(window), shards,
-                net::ioBackendName(backend));
+                static_cast<unsigned long long>(window), shards);
     std::printf("%8s %16s %16s %8s %6s\n", "threads", "inproc ops/s",
                 "loopback ops/s", "net/ip", "lost");
 
@@ -305,25 +276,16 @@ main(int argc, char **argv)
             net::ServerCfg scfg;
             scfg.port = 0;
             scfg.workers = n;
-            scfg.ioBackend = backend;
             net::Server server(*cache, scfg);
             if (!server.start()) {
                 std::fprintf(stderr, "server start failed\n");
                 return 1;
             }
-            // Label the loopback row with what actually ran: a
-            // requested io_uring may have degraded to writev, and the
-            // gate must not compare rows across write paths. The
-            // armed-tracer row likewise gets its own name so the gate
-            // never compares armed cost against the disarmed baseline.
+            // The armed-tracer row gets its own name so the gate never
+            // compares armed cost against the disarmed baseline.
             netRow.branch = branch;
-            if (server.ioBackend() != net::IoBackend::Epoll)
-                netRow.branch +=
-                    std::string("+") +
-                    net::ioBackendName(server.ioBackend());
-            if (tail_mode)
-                netRow.branch += "+tail";
             if (tail_mode) {
+                netRow.branch += "+tail";
                 obs::tail::armTail();
                 obs::tail::setTailLabel(
                     netRow.branch,
@@ -403,11 +365,11 @@ main(int argc, char **argv)
             }
         }
         if (!json_path.empty()) {
-            // The in-process drive never touches the I/O backend (or
-            // the conn layer the tail tracer lives in), so a
-            // non-epoll or --tail run would just duplicate the plain
-            // epoll run's inproc row; emit it once, from that run.
-            if (backend == net::IoBackend::Epoll && !tail_mode)
+            // The in-process drive never touches the conn layer the
+            // tail tracer lives in, so a --tail run would just
+            // duplicate the plain run's inproc row; emit it once,
+            // from that run.
+            if (!tail_mode)
                 bench::addBenchRow(inprocRow);
             bench::addBenchRow(netRow);
         }

@@ -26,6 +26,7 @@
 #define TMEMC_MC_CACHE_H
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -1033,14 +1034,41 @@ class CacheCore
             });
             if (it != nullptr)
                 return it;
-            if (!evictOne(tid, cls)) {
-                // Nothing evictable in this class: ask the rebalancer
-                // to shift a page here, then retry.
-                requestRebalanceFromRichest(cls);
-                std::this_thread::yield();
-            }
+            // Nothing evictable in this class: have the rebalancer
+            // shift a page here, then retry.
+            if (!evictOne(tid, cls) && !awaitPageMove(cls))
+                return nullptr;
         }
         return nullptr;
+    }
+
+    /**
+     * Ask the rebalancer to move a page to @p dst_cls and wait for the
+     * move to finish. A request that finds another move in flight
+     * waits for that one, then issues its own. The wait is bounded.
+     * @return false when no class can give up a page or the wait
+     *         timed out; the caller then reports out-of-memory.
+     */
+    bool
+    awaitPageMove(std::uint32_t dst_cls)
+    {
+        PlainCtx<cfg> pc;
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(1);
+        bool requested = false;
+        for (;;) {
+            if (pc.volatileLoad(&slabs_.rebalSignal) == 0) {
+                if (requested)
+                    return true;  // Our move is done; retry the alloc.
+                const RebalRequest r = requestRebalanceFromRichest(dst_cls);
+                if (r == RebalRequest::NoDonor)
+                    return false;
+                requested = r == RebalRequest::Sent;
+            }
+            if (std::chrono::steady_clock::now() >= deadline)
+                return false;
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
     }
 
     /**
@@ -1212,12 +1240,20 @@ class CacheCore
     // Maintenance: slab rebalance
     // ------------------------------------------------------------------
 
-    void
+    /** Outcome of requestRebalanceFromRichest(). */
+    enum class RebalRequest : std::uint8_t
+    {
+        Sent,     //!< Signalled a move toward the requested class.
+        Busy,     //!< Another move is in flight; nothing was sent.
+        NoDonor,  //!< No other class has a page to spare.
+    };
+
+    RebalRequest
     requestRebalanceFromRichest(std::uint32_t dst_cls)
     {
         PlainCtx<cfg> pc;
         if (pc.volatileLoad(&slabs_.rebalSignal) != 0)
-            return;
+            return RebalRequest::Busy;
         // Find the class with the most pages (racy scan is fine; the
         // rebalancer re-validates).
         std::uint32_t best = kMaxSlabClasses;
@@ -1232,11 +1268,12 @@ class CacheCore
             }
         }
         if (best == kMaxSlabClasses)
-            return;
+            return RebalRequest::NoDonor;
         pc.store(&slabs_.rebalSrc, std::uint64_t{best});
         pc.store(&slabs_.rebalDst, std::uint64_t{dst_cls});
         pc.volatileStore(&slabs_.rebalSignal, std::uint64_t{1});
         policy_.maintWake(pc, MaintDomain::Slab);
+        return RebalRequest::Sent;
     }
 
     void

@@ -18,9 +18,8 @@
 namespace tmemc::net
 {
 
-Conn::Conn(int fd, std::uint64_t id, const ConnLimits &limits,
-           bool gather_writes)
-    : fd_(fd), id_(id), limits_(limits), gather_(gather_writes),
+Conn::Conn(int fd, std::uint64_t id, const ConnLimits &limits)
+    : fd_(fd), id_(id), limits_(limits),
       lastActivity_(std::chrono::steady_clock::now())
 {
 }
@@ -353,26 +352,18 @@ Conn::flush()
         if (outq_.empty())
             break;
 
-        ssize_t n;
-        if (gather_) {
-            // One gather write over the whole queue: reply headers
-            // from owned segments, values straight from the slab.
-            struct iovec iov[sys::kMaxWriteIov];
-            int cnt = 0;
-            for (const mc::Reply::Seg &seg : outq_) {
-                if (cnt == sys::kMaxWriteIov)
-                    break;
-                iov[cnt].iov_base = const_cast<char *>(seg.data()) +
-                                    seg.off;
-                iov[cnt].iov_len = seg.size() - seg.off;
-                ++cnt;
-            }
-            n = sys::writevFd(fd_, iov, cnt);
-        } else {
-            const mc::Reply::Seg &front = outq_.front();
-            n = sys::writeFd(fd_, front.data() + front.off,
-                             front.size() - front.off);
+        // One gather write over the whole queue: reply headers from
+        // owned segments, pinned values straight from the slab.
+        struct iovec iov[sys::kMaxWriteIov];
+        int cnt = 0;
+        for (const mc::Reply::Seg &seg : outq_) {
+            if (cnt == sys::kMaxWriteIov)
+                break;
+            iov[cnt].iov_base = const_cast<char *>(seg.data()) + seg.off;
+            iov[cnt].iov_len = seg.size() - seg.off;
+            ++cnt;
         }
+        const ssize_t n = sys::writevFd(fd_, iov, cnt);
         if (n > 0) {
             consumeOut(static_cast<std::size_t>(n));
             continue;

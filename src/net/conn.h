@@ -10,16 +10,14 @@
  * mc framing hooks (protocolTryFrame / binaryTryFrame), executes
  * them, and queues replies; onWritable() flushes the reply queue.
  *
- * Replies are mc::Reply segment lists. On the seed epoll backend the
- * executor only produces owned segments, consecutive owned segments
- * coalesce, and the flush is the classic copy-and-write(2) loop. On
- * the gather backends (writev / io_uring) a GET hit's value rides as
- * a *pinned* segment — a pointer into the slab chunk held live by the
- * item refcount — and flush() hands header + value + CRLF to one
- * writev(2), so the value bytes are never copied into a reply buffer.
- * A pinned segment releases its reference the moment its last byte is
- * accepted by the kernel, or when the connection dies with the
- * segment still queued.
+ * Replies are mc::Reply segment lists, and the flush is one gather
+ * writev(2) over the whole queue. Consecutive owned segments coalesce;
+ * a GET hit's value on a pinnable branch rides as a *pinned* segment —
+ * a pointer into the slab chunk held live by the item refcount — so
+ * header + value + CRLF leave in one syscall and the value bytes are
+ * never copied into a reply buffer. A pinned segment releases its
+ * reference the moment its last byte is accepted by the kernel, or
+ * when the connection dies with the segment still queued.
  *
  * Protocol selection follows memcached's sniffing rule: a frame whose
  * first byte is the binary request magic (0x80) is binary, anything
@@ -28,10 +26,10 @@
  *
  * Overload behaviour is bounded on both sides (ConnLimits):
  *  - the read buffer caps unframeable input (slowloris guard);
- *  - pendingWrite() — which counts owned AND pinned bytes, so the
- *    zero-copy path cannot dodge the caps — has a soft cap (stop
- *    polling EPOLLIN; TCP backpressure reaches the slow reader) and
- *    a hard cap (close: a reply burst no sane client leaves unread);
+ *  - pendingWrite() — which counts owned AND pinned bytes, so pinned
+ *    values cannot dodge the caps — has a soft cap (stop polling
+ *    EPOLLIN; TCP backpressure reaches the slow reader) and a hard
+ *    cap (close: a reply burst no sane client leaves unread);
  *  - lastActivity() feeds the loop's idle reaper.
  *
  * Parsing and reply formatting happen entirely on these private
@@ -90,14 +88,8 @@ enum class CloseReason : std::uint8_t
 class Conn
 {
   public:
-    /**
-     * Takes ownership of @p fd (closed on destruction).
-     * @param gather_writes  Flush via writev over the whole segment
-     *        queue (the zero-copy backends); false uses the seed
-     *        one-segment-at-a-time write(2) loop.
-     */
-    Conn(int fd, std::uint64_t id, const ConnLimits &limits,
-         bool gather_writes);
+    /** Takes ownership of @p fd (closed on destruction). */
+    Conn(int fd, std::uint64_t id, const ConnLimits &limits);
     ~Conn();
 
     Conn(const Conn &) = delete;
@@ -138,8 +130,8 @@ class Conn
      *  must stop polling EPOLLIN until the client drains us. */
     bool wantsRead() const { return pendingWrite() < limits_.wbufSoftCap; }
 
-    /** Unflushed reply bytes — owned and pinned alike, so the
-     *  zero-copy path is subject to the same caps as the copy path. */
+    /** Unflushed reply bytes — owned and pinned alike, so pinned
+     *  values are subject to the same caps as copied replies. */
     std::size_t pendingWrite() const { return pending_; }
 
     /** Why the last onReadable/onWritable returned false. */
@@ -203,7 +195,6 @@ class Conn
     int fd_;
     std::uint64_t id_;
     const ConnLimits &limits_;
-    bool gather_;
     std::string rbuf_;
     /** Reply queue; front segment may be partially written (its off).
      *  Segment destructors release pins, so clearing the queue — or

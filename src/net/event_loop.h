@@ -1,8 +1,7 @@
 /**
  * @file
- * One worker event loop: a readiness backend (epoll or io_uring, see
- * io_backend.h), an eventfd wakeup, and the set of connections
- * assigned to this worker.
+ * One worker event loop: a level-triggered epoll set, an eventfd
+ * wakeup, and the set of connections assigned to this worker.
  *
  * This is the libevent worker thread of memcached's threads.c. The
  * listener hands accepted sockets over through adopt() (the analogue
@@ -41,7 +40,6 @@
 #include <vector>
 
 #include "net/conn.h"
-#include "net/io_backend.h"
 
 namespace tmemc::net
 {
@@ -80,13 +78,9 @@ class EventLoop
      * @param idle_timeout_ms  Reap connections idle this long
      *                         (0: never).
      * @param counters   Server-wide resilience counters.
-     * @param backend    Requested I/O backend; IoUring falls back to
-     *                   Writev when the kernel refuses (backend()
-     *                   reports what actually runs, after start()).
      */
     EventLoop(std::uint32_t worker_id, ExecFn exec, ConnLimits limits,
-              std::uint32_t idle_timeout_ms, NetCounters &counters,
-              IoBackend backend = IoBackend::Epoll);
+              std::uint32_t idle_timeout_ms, NetCounters &counters);
     ~EventLoop();
 
     EventLoop(const EventLoop &) = delete;
@@ -113,9 +107,6 @@ class EventLoop
 
     std::uint32_t workerId() const { return worker_; }
 
-    /** Effective backend (post-fallback); valid after start(). */
-    IoBackend backend() const { return effective_; }
-
     /** Requests served across all connections ever owned here. */
     std::uint64_t requestsServed() const
     {
@@ -131,13 +122,15 @@ class EventLoop
   private:
     void run();
     void wakeup();
+    /** Close the epoll set and the wakeup eventfd. */
+    void closeFds();
     void adoptPending();
     void closeConn(int fd);
     /** Close every idle-deadline-expired connection. */
     void reapIdle();
     /** Drain mode: retire connections whose replies are all out. */
     void retireDrained();
-    /** Re-arm poll interest according to wantsRead()/wantsWrite(). */
+    /** Set epoll interest according to wantsRead()/wantsWrite(). */
     void updateInterest(Conn &c);
 
     std::uint32_t worker_;
@@ -145,9 +138,7 @@ class EventLoop
     ConnLimits limits_;
     std::uint32_t idleTimeoutMs_;
     NetCounters &counters_;
-    IoBackend requested_;
-    IoBackend effective_ = IoBackend::Epoll;
-    std::unique_ptr<Poller> poller_;
+    int epfd_ = -1;
     int wakefd_ = -1;
     std::thread thread_;
     // atom-protocol: release-acquire-pair

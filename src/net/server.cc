@@ -138,13 +138,12 @@ Server::start()
     }
     port_ = ntohs(bound.sin_port);
 
-    // The pinned (zero-copy) GET path needs both halves: a gather
-    // backend, so value segments reach writev un-copied, and a branch
-    // whose items can be pinned (refcounts + non-transactional value
-    // bytes — pinnedGetSupported()). Everything else — stores, binary
-    // protocol, unsupported branches — takes the legacy string path.
-    const bool allow_pinned = cfg_.ioBackend != IoBackend::Epoll &&
-                              cache_.pinnedGetSupported();
+    // ASCII GET hits ship their values pinned in the slab when the
+    // branch's items can be pinned (refcounts + non-transactional
+    // value bytes — pinnedGetSupported()). Everything else — stores,
+    // binary protocol, unsupported branches — takes the string path;
+    // both leave through the same gather flush.
+    const bool allow_pinned = cache_.pinnedGetSupported();
     ExecFn exec = [this, allow_pinned](std::uint32_t worker, bool binary,
                                        const std::string &frame,
                                        mc::Reply &out) {
@@ -181,16 +180,12 @@ Server::start()
     };
     for (std::uint32_t w = 0; w < cfg_.workers; ++w) {
         loops_.push_back(std::make_unique<EventLoop>(
-            w, exec, cfg_.limits, cfg_.idleTimeoutMs, counters_,
-            cfg_.ioBackend));
+            w, exec, cfg_.limits, cfg_.idleTimeoutMs, counters_));
         if (!loops_.back()->start()) {
             stop();
             return false;
         }
     }
-    // Every loop ran the same probe, so they all landed on the same
-    // effective backend; report loop 0's.
-    effectiveBackend_ = loops_[0]->backend();
     // The source stays registered across stop() — the counters and
     // servedFinal_ stay valid after teardown, so a metrics dump taken
     // after drain() still carries the final net totals. It is dropped
@@ -312,7 +307,6 @@ Server::statsLines() const
     char buf[512];
     const int n = std::snprintf(
         buf, sizeof(buf),
-        "STAT io_backend %s\r\n"
         "STAT curr_connections %llu\r\n"
         "STAT total_connections %llu\r\n"
         "STAT rejected_connections %llu\r\n"
@@ -320,7 +314,6 @@ Server::statsLines() const
         "STAT backpressure_closes %llu\r\n"
         "STAT oom_errors %llu\r\n"
         "STAT accept_failures %llu\r\n",
-        ioBackendName(effectiveBackend_),
         static_cast<unsigned long long>(s.currConnections),
         static_cast<unsigned long long>(s.totalConnections),
         static_cast<unsigned long long>(s.rejectedConnections),
@@ -335,6 +328,9 @@ Server::statsLines() const
 void
 Server::rejectConn(int fd)
 {
+    // Counted before the reply goes out, so a client that has read
+    // the rejection always finds it in the stats.
+    counters_.rejectedConnections.fetch_add(1, std::memory_order_relaxed);
     // Best-effort single write: the socket buffer of a fresh
     // connection always has room for one short error line.
     [[maybe_unused]] ssize_t n =
@@ -346,7 +342,6 @@ Server::rejectConn(int fd)
     ::shutdown(fd, SHUT_WR);
     rejected_.push_back(
         {fd, std::chrono::steady_clock::now() + kRejectLinger});
-    counters_.rejectedConnections.fetch_add(1, std::memory_order_relaxed);
 }
 
 void

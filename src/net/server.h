@@ -63,14 +63,6 @@ struct ServerCfg
     std::uint32_t idleTimeoutMs = 0;
     /** Per-connection byte budgets (defaults in ConnLimits). */
     ConnLimits limits{};
-    /**
-     * I/O backend (see io_backend.h). Epoll is the seed copy path;
-     * Writev/IoUring serve ASCII GET hits zero-copy (value bytes
-     * pinned in the slab, shipped by gather write). IoUring falls
-     * back to Writev at start() when the kernel refuses;
-     * ioBackend() reports the effective choice.
-     */
-    IoBackend ioBackend = IoBackend::Epoll;
 };
 
 /** Plain snapshot of the resilience counters (see NetCounters). */
@@ -117,10 +109,6 @@ class Server
     /** Bound port (useful with cfg.port == 0). */
     std::uint16_t port() const { return port_; }
 
-    /** Effective I/O backend (post io_uring fallback); valid after
-     *  start(). Also served as `STAT io_backend <name>`. */
-    IoBackend ioBackend() const { return effectiveBackend_; }
-
     /** Connections accepted since start(). */
     std::uint64_t accepted() const
     {
@@ -147,7 +135,6 @@ class Server
 
     mc::CacheIface &cache_;
     ServerCfg cfg_;
-    IoBackend effectiveBackend_ = IoBackend::Epoll;
     int listenFd_ = -1;
     std::uint16_t port_ = 0;
     std::thread acceptThread_;

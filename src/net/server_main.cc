@@ -6,13 +6,15 @@
  * Usage: tmemc_server [--branch NAME] [--port N] [--workers N]
  *                     [--shards N] [--mem MB] [--max-conns N]
  *                     [--idle-timeout MS] [--drain-ms MS]
- *                     [--io-backend epoll|writev|io_uring]
  *                     [--metrics-json PATH] [--trace] [--verbose]
  *                     [--tail] [--tail-k N] [--tail-json PATH]
  *                     [--slow-shard IDX:DELAY_US[:EVERY_N]]
  *
  * Serves both protocols on one port until SIGINT/SIGTERM, then drains
  * gracefully (flushes queued replies) for --drain-ms before exiting.
+ * Every reply leaves through one gather writev(2) flush; on branches
+ * whose items can be pinned (Baseline, Semaphore and the IP-* ladder),
+ * ASCII GET values ship straight from the slab without a copy.
  * --metrics-json writes the final obs::MetricsRegistry snapshot (the
  * same JSON the `metrics` admin command serves) to PATH after the
  * drain; --trace arms the flight recorder, whose ring is dumped to
@@ -75,7 +77,6 @@ main(int argc, char **argv)
     std::uint32_t max_conns = 0;
     std::uint32_t idle_timeout_ms = 0;
     std::uint32_t drain_ms = 2000;
-    net::IoBackend io_backend = net::IoBackend::Epoll;
     std::string metrics_json;
     bool trace = false;
     bool tail = false;
@@ -105,16 +106,7 @@ main(int argc, char **argv)
                 static_cast<std::uint32_t>(std::atoi(next()));
         else if (a == "--drain-ms")
             drain_ms = static_cast<std::uint32_t>(std::atoi(next()));
-        else if (a == "--io-backend") {
-            const std::string v = next();
-            if (!net::parseIoBackend(v, io_backend)) {
-                std::fprintf(stderr,
-                             "unknown --io-backend '%s' (want epoll, "
-                             "writev, or io_uring)\n",
-                             v.c_str());
-                return 2;
-            }
-        } else if (a == "--metrics-json")
+        else if (a == "--metrics-json")
             metrics_json = next();
         else if (a == "--trace")
             trace = true;
@@ -135,7 +127,6 @@ main(int argc, char **argv)
                          "[--workers N] [--shards N] [--mem MB] "
                          "[--max-conns N] [--idle-timeout MS] "
                          "[--drain-ms MS] "
-                         "[--io-backend epoll|writev|io_uring] "
                          "[--metrics-json PATH] "
                          "[--trace] [--verbose] "
                          "[--tail] [--tail-k N] [--tail-json PATH] "
@@ -199,7 +190,6 @@ main(int argc, char **argv)
     cfg.workers = workers;
     cfg.maxConns = max_conns;
     cfg.idleTimeoutMs = idle_timeout_ms;
-    cfg.ioBackend = io_backend;
     net::Server server(*cache, cfg);
     if (!server.start()) {
         std::fprintf(stderr, "failed to bind 127.0.0.1:%u\n",
@@ -209,9 +199,8 @@ main(int argc, char **argv)
     std::signal(SIGINT, onSignal);
     std::signal(SIGTERM, onSignal);
     std::printf("tmemc_server: branch=%s workers=%u shards=%u "
-                "io_backend=%s listening on 127.0.0.1:%u\n",
+                "listening on 127.0.0.1:%u\n",
                 cache->branchName(), workers, cache->shardCount(),
-                net::ioBackendName(server.ioBackend()),
                 static_cast<unsigned>(server.port()));
     std::fflush(stdout);
 

@@ -4,14 +4,14 @@
  *
  * Every socket syscall the server's data path issues goes through
  * these shims so that tests can create adverse schedules on demand:
- * an accept(2) that hits EMFILE, a write(2) that only takes one byte,
+ * an accept(2) that hits EMFILE, a writev(2) that only takes one byte,
  * an epoll_wait(2) that spuriously times out. Each wrapper consults a
  * fault-injection site (common/fault.h) before touching the kernel:
  *
  *   net.accept       fail with policy errno (default EMFILE)
  *   net.read         fail with errno, or short-read via byteCap
- *   net.write        fail with errno, or short-write via byteCap
- *   net.sys.writev   fail with errno, or truncate the gather (byteCap)
+ *   net.write        fail with errno, or truncate the gather writev
+ *                    to byteCap bytes (a short write)
  *   net.epoll_wait   fail with errno, or report zero events
  *   net.sys.connect  fail with errno (default ECONNREFUSED)
  *
@@ -90,24 +90,6 @@ readFd(int fd, void *buf, std::size_t count)
     return ::read(fd, buf, count);
 }
 
-TM_UNSAFE inline ssize_t
-writeFd(int fd, const void *buf, std::size_t count)
-{
-    if (fault::enabled()) {
-        const fault::Action a = fault::consult("net.write");
-        if (a.fire) {
-            fault::maybeDelay(a);
-            if (a.errnoValue != 0) {
-                errno = a.errnoValue;
-                return -1;
-            }
-            if (a.byteCap != 0 && a.byteCap < count)
-                count = a.byteCap;
-        }
-    }
-    return ::write(fd, buf, count);
-}
-
 /** Most iovecs one gather write submits (also the fault-trim bound). */
 constexpr int kMaxWriteIov = 64;
 
@@ -115,7 +97,7 @@ TM_UNSAFE inline ssize_t
 writevFd(int fd, const struct iovec *iov, int iovcnt)
 {
     if (fault::enabled()) {
-        const fault::Action a = fault::consult("net.sys.writev");
+        const fault::Action a = fault::consult("net.write");
         if (a.fire) {
             fault::maybeDelay(a);
             if (a.errnoValue != 0) {

@@ -312,6 +312,34 @@ TEST_P(BranchTest, EvictionKeepsCacheWithinBudget)
     EXPECT_EQ(gs.currItems, small->linkedItemCount());
 }
 
+TEST_P(BranchTest, StoreIntoPagelessClassWaitsForPageMove)
+{
+    // With the whole budget held by one size class, a store into a
+    // class that owns no page has nothing to evict: it must wait for
+    // the page move it asks the rebalancer for, then succeed on its
+    // first call rather than report OutOfMemory mid-move.
+    Settings s;
+    s.maxBytes = 64 * 1024;
+    s.slabPageSize = 16 * 1024;
+    s.hashPowerInit = 6;
+    auto small = makeCache(GetParam(), s, 2);
+    const std::string big(512, 'B');
+    for (int i = 0; i < 200; ++i) {
+        const std::string k = "fill" + std::to_string(i);
+        ASSERT_EQ(small->store(0, k.data(), k.size(), big.data(),
+                               big.size()),
+                  OpStatus::Ok);
+    }
+    small->quiesceMaintenance();
+    ASSERT_GT(small->globalStats().evictions, 0u) << "budget not full";
+
+    ASSERT_EQ(small->store(0, "tiny", 4, "t", 1), OpStatus::Ok);
+    char buf[16];
+    const auto r = small->get(0, "tiny", 4, buf, sizeof(buf));
+    ASSERT_EQ(r.status, OpStatus::Ok);
+    EXPECT_EQ(std::string(buf, r.vlen), "t");
+}
+
 TEST_P(BranchTest, LargeValueRejected)
 {
     std::string huge(64 * 1024, 'x');

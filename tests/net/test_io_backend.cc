@@ -1,17 +1,19 @@
 /**
  * @file
- * The I/O backend matrix (io_backend.h): every backend serves the
- * same bytes, io_uring degrades gracefully where the kernel refuses
- * it, and the zero-copy gather path obeys the same backpressure caps
- * and fault-injection invariants as the seed copy path.
+ * The server's one write path: every reply leaves through the gather
+ * writev(2) flush, and ASCII GET hits ship their values pinned in the
+ * slab. Served replies must equal the reference string path
+ * (mc::protocolExecute) byte for byte, and the pinned segments obey
+ * the same backpressure caps, drain contract and fault-injection
+ * invariants as copied replies.
  *
  * Branch is IP-onCommit throughout: its item strategy supports pinned
- * gets (CacheCore::pinnedGetSupported()), so the writev/io_uring
- * backends actually ship GET hits zero-copy — the IT-* branches fall
- * back to the copy path and would test nothing new.
+ * gets (CacheCore::pinnedGetSupported()), so GET hits actually ship
+ * zero-copy — the IT-* branches copy every reply and would test
+ * nothing the other net suites do not.
  *
- * Tests named *Chaos* run fault schedules on the net.sys.writev site;
- * the CMake registration exposes them under `ctest -L chaos` too.
+ * Tests named *Chaos* run fault schedules on the net.write site; the
+ * CMake registration exposes them under `ctest -L chaos` too.
  */
 
 #include <gtest/gtest.h>
@@ -27,7 +29,6 @@
 #include "mc/protocol.h"
 #include "mc/reply.h"
 #include "net/client.h"
-#include "net/io_backend.h"
 #include "net/server.h"
 #include "tm/runtime.h"
 
@@ -35,34 +36,6 @@ namespace
 {
 
 using namespace tmemc;
-
-// ----------------------------------------------------------------------
-// Flag plumbing
-// ----------------------------------------------------------------------
-
-TEST(IoBackendFlag, ParseAcceptsCanonicalNamesAndAliases)
-{
-    net::IoBackend b = net::IoBackend::Epoll;
-    EXPECT_TRUE(net::parseIoBackend("epoll", b));
-    EXPECT_EQ(b, net::IoBackend::Epoll);
-    EXPECT_TRUE(net::parseIoBackend("writev", b));
-    EXPECT_EQ(b, net::IoBackend::Writev);
-    EXPECT_TRUE(net::parseIoBackend("io_uring", b));
-    EXPECT_EQ(b, net::IoBackend::IoUring);
-    EXPECT_TRUE(net::parseIoBackend("uring", b));
-    EXPECT_EQ(b, net::IoBackend::IoUring);
-    EXPECT_TRUE(net::parseIoBackend("io-uring", b));
-    EXPECT_EQ(b, net::IoBackend::IoUring);
-
-    b = net::IoBackend::Writev;
-    EXPECT_FALSE(net::parseIoBackend("kqueue", b));
-    EXPECT_EQ(b, net::IoBackend::Writev);  // Untouched on failure.
-
-    EXPECT_STREQ(net::ioBackendName(net::IoBackend::Epoll), "epoll");
-    EXPECT_STREQ(net::ioBackendName(net::IoBackend::Writev), "writev");
-    EXPECT_STREQ(net::ioBackendName(net::IoBackend::IoUring),
-                 "io_uring");
-}
 
 // ----------------------------------------------------------------------
 // The zero-copy executor, off the wire
@@ -102,10 +75,10 @@ TEST(PinnedExecute, AsciiGetHitRidesAsPinnedSegment)
 }
 
 // ----------------------------------------------------------------------
-// Backend matrix fixture
+// Served fixture
 // ----------------------------------------------------------------------
 
-class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
+class WritePathTest : public ::testing::Test
 {
   protected:
     void
@@ -115,7 +88,9 @@ class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
         tm::Runtime::get().configure(tm::RuntimeCfg{});
         mc::Settings settings;
         settings.maxBytes = 16 * 1024 * 1024;
-        cache_ = mc::makeCache("IP-onCommit", settings, kWorkers);
+        // One worker tid beyond the server's loops, for the
+        // reference executions the test thread runs itself.
+        cache_ = mc::makeCache("IP-onCommit", settings, kWorkers + 1);
         ASSERT_NE(cache_, nullptr);
         ASSERT_TRUE(cache_->pinnedGetSupported());
     }
@@ -133,7 +108,6 @@ class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
     {
         cfg.port = 0;
         cfg.workers = kWorkers;
-        cfg.ioBackend = GetParam();
         server_ = std::make_unique<net::Server>(*cache_, cfg);
         ASSERT_TRUE(server_->start());
     }
@@ -147,22 +121,21 @@ class IoBackendTest : public ::testing::TestWithParam<net::IoBackend>
         return c;
     }
 
+    /** The reply the reference string path gives @p req. */
+    std::string
+    reference(const std::string &req)
+    {
+        return mc::protocolExecute(*cache_, kWorkers, req);
+    }
+
     static constexpr std::uint32_t kWorkers = 2;
     std::unique_ptr<mc::CacheIface> cache_;
     std::unique_ptr<net::Server> server_;
 };
 
-TEST_P(IoBackendTest, RoundTripsAreByteIdenticalAcrossBackends)
+TEST_F(WritePathTest, ServedRepliesMatchReferenceStringPath)
 {
     startServer(net::ServerCfg{});
-    // A requested io_uring may legitimately degrade to writev; it must
-    // never fail to start or fall all the way back to the copy path.
-    if (GetParam() == net::IoBackend::IoUring) {
-        EXPECT_NE(server_->ioBackend(), net::IoBackend::Epoll);
-    } else {
-        EXPECT_EQ(server_->ioBackend(), GetParam());
-    }
-
     net::Client c = makeClient();
     for (int i = 0; i < 20; ++i) {
         const std::string k = "k" + std::to_string(i);
@@ -171,36 +144,39 @@ TEST_P(IoBackendTest, RoundTripsAreByteIdenticalAcrossBackends)
                                    std::to_string(v.size()) + "\r\n" +
                                    v + "\r\n"),
                   "STORED\r\n");
-        ASSERT_EQ(c.roundTripAscii("get " + k + "\r\n"),
-                  "VALUE " + k + " 0 " + std::to_string(v.size()) +
-                      "\r\n" + v + "\r\nEND\r\n");
     }
 
-    // Multi-key get with an interior miss: hit, miss, hit.
+    // Hits, an interior miss, and gets CAS ids: the pinned replies
+    // must be byte-identical to what the string path renders for the
+    // same request on the same cache.
+    const std::vector<std::string> reads = {
+        "get k0\r\n",
+        "get k19\r\n",
+        "get missing\r\n",
+        "gets k1\r\n",
+        "get k1 missing k2\r\n",
+        "gets k3 k4 nope k5\r\n",
+    };
+    for (const std::string &req : reads) {
+        const std::string served = c.roundTripAscii(req);
+        EXPECT_EQ(served, reference(req)) << req;
+    }
+    // The reference really was a hit (and gets really carried a CAS).
     EXPECT_EQ(c.roundTripAscii("get k1 missing k2\r\n"),
               "VALUE k1 0 7\r\nvalue-1\r\nVALUE k2 0 7\r\nvalue-2"
               "\r\nEND\r\n");
-
-    // gets carries the CAS id on the pinned path too.
     const std::string gets = c.roundTripAscii("gets k1\r\n");
     EXPECT_EQ(gets.compare(0, 13, "VALUE k1 0 7 "), 0) << gets;
 
-    // Binary protocol on the same connection (copy path everywhere).
+    // Binary protocol on the same connection (copied replies).
     const std::string wire =
         c.roundTripBinary(mc::binSetRequest("bk", "bv"));
     mc::BinResponse r;
     ASSERT_GT(mc::binParseResponse(wire, r), 0u);
     EXPECT_EQ(r.status, mc::BinStatus::Ok);
-
-    // The effective backend is visible over the wire.
-    const std::string stats = c.roundTripAscii("stats\r\n");
-    const std::string want =
-        std::string("STAT io_backend ") +
-        net::ioBackendName(server_->ioBackend()) + "\r\n";
-    EXPECT_NE(stats.find(want), std::string::npos) << stats;
 }
 
-TEST_P(IoBackendTest, PipelinedBurstKeepsOrder)
+TEST_F(WritePathTest, PipelinedBurstKeepsOrder)
 {
     startServer(net::ServerCfg{});
     net::Client c = makeClient();
@@ -223,24 +199,23 @@ TEST_P(IoBackendTest, PipelinedBurstKeepsOrder)
     }
 }
 
-TEST_P(IoBackendTest, SlowReaderHitsBackpressureOnPinnedBytes)
+TEST_F(WritePathTest, SlowReaderHitsBackpressureOnPinnedBytes)
 {
-    // Satellite-4 regression: pendingWrite() must count pinned bytes.
-    // The reply to one 8 KiB GET is almost entirely pinned payload —
-    // if only owned bytes counted, the backlog would register ~30
-    // bytes and the hard cap could never fire on the zero-copy path.
+    // Regression: pendingWrite() must count pinned bytes. The reply to
+    // one 8 KiB GET is almost entirely pinned payload — if only owned
+    // bytes counted, the backlog would register ~30 bytes and the
+    // hard cap could never fire on pinned replies.
     net::ServerCfg cfg;
     cfg.limits.wbufSoftCap = 2 * 1024;
     cfg.limits.wbufHardCap = 4 * 1024;
     startServer(cfg);
 
-    // Stall whichever write path this backend uses, so replies can
-    // only accumulate against the caps.
+    // Stall the write path, so replies can only accumulate against
+    // the caps.
     fault::Policy p;
     p.trigger = fault::Trigger::EveryNth;
     p.n = 1;
     p.errnoValue = EAGAIN;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     net::Client c = makeClient();
@@ -416,7 +391,6 @@ class DrainPinsTest : public ::testing::Test
         net::ServerCfg cfg;
         cfg.port = 0;
         cfg.workers = 2;
-        cfg.ioBackend = net::IoBackend::Writev;
         server_ = std::make_unique<net::Server>(*counting_, cfg);
         ASSERT_TRUE(server_->start());
     }
@@ -430,7 +404,7 @@ class DrainPinsTest : public ::testing::Test
     }
 
     /** Queue kGets pinned replies server-side by stalling the write
-     *  syscalls, then wait until every pin is held. */
+     *  syscall, then wait until every pin is held. */
     void
     queuePinnedBacklog(net::Client &c)
     {
@@ -443,7 +417,6 @@ class DrainPinsTest : public ::testing::Test
         p.trigger = fault::Trigger::EveryNth;
         p.n = 1;
         p.errnoValue = EAGAIN;
-        fault::arm("net.sys.writev", p);
         fault::arm("net.write", p);
         std::string burst;
         for (int i = 0; i < kGets; ++i)
@@ -509,7 +482,7 @@ TEST_F(DrainPinsTest, DeadlineForcedDrainStillReleasesEveryPin)
 // Fault schedules on the gather-write syscall (chaos suite members)
 // ----------------------------------------------------------------------
 
-TEST_P(IoBackendTest, ChaosShortWritevStitchesReplies)
+TEST_F(WritePathTest, ChaosShortWritevStitchesReplies)
 {
     startServer(net::ServerCfg{});
     // Every gather write is truncated to 7 bytes: headers, pinned
@@ -519,7 +492,6 @@ TEST_P(IoBackendTest, ChaosShortWritevStitchesReplies)
     p.trigger = fault::Trigger::EveryNth;
     p.n = 1;
     p.byteCap = 7;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     net::Client c = makeClient();
@@ -534,11 +506,10 @@ TEST_P(IoBackendTest, ChaosShortWritevStitchesReplies)
                   "VALUE " + k + " 0 " + std::to_string(v.size()) +
                       "\r\n" + v + "\r\nEND\r\n");
     }
-    if (GetParam() != net::IoBackend::Epoll)
-        EXPECT_GT(sfv.firedCount(), 0u);
+    EXPECT_GT(sfw.firedCount(), 0u);
 }
 
-TEST_P(IoBackendTest, ChaosWritevEagainRetriesWithoutCorruption)
+TEST_F(WritePathTest, ChaosWritevEagainRetriesWithoutCorruption)
 {
     startServer(net::ServerCfg{});
     // Half of all gather writes spuriously report EAGAIN; the flush
@@ -548,7 +519,6 @@ TEST_P(IoBackendTest, ChaosWritevEagainRetriesWithoutCorruption)
     p.probability = 0.5;
     p.seed = 424242;
     p.errnoValue = EAGAIN;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     net::Client c = makeClient();
@@ -565,7 +535,7 @@ TEST_P(IoBackendTest, ChaosWritevEagainRetriesWithoutCorruption)
     }
 }
 
-TEST_P(IoBackendTest, ChaosEvictionPressureNeverTearsPinnedReplies)
+TEST_F(WritePathTest, ChaosEvictionPressureNeverTearsPinnedReplies)
 {
     // A tiny cache under a write storm: items the reader just pinned
     // are prime eviction candidates. The refcount must keep every
@@ -573,7 +543,7 @@ TEST_P(IoBackendTest, ChaosEvictionPressureNeverTearsPinnedReplies)
     // acknowledged VALUE replies must match what was stored, always.
     mc::Settings settings;
     settings.maxBytes = 2 * 1024 * 1024;
-    cache_ = mc::makeCache("IP-onCommit", settings, kWorkers);
+    cache_ = mc::makeCache("IP-onCommit", settings, kWorkers + 1);
     ASSERT_NE(cache_, nullptr);
     startServer(net::ServerCfg{});
 
@@ -583,7 +553,6 @@ TEST_P(IoBackendTest, ChaosEvictionPressureNeverTearsPinnedReplies)
     p.probability = 0.5;
     p.seed = 777;
     p.byteCap = 512;
-    fault::ScopedFault sfv("net.sys.writev", p);
     fault::ScopedFault sfw("net.write", p);
 
     auto valueFor = [](int i) {
@@ -637,22 +606,5 @@ TEST_P(IoBackendTest, ChaosEvictionPressureNeverTearsPinnedReplies)
     writer.join();
     EXPECT_EQ(torn.load(), 0);
 }
-
-INSTANTIATE_TEST_SUITE_P(Backends, IoBackendTest,
-                         ::testing::Values(net::IoBackend::Epoll,
-                                           net::IoBackend::Writev,
-                                           net::IoBackend::IoUring),
-                         [](const auto &info) {
-                             switch (info.param) {
-                             case net::IoBackend::Epoll:
-                                 return "Epoll";
-                             case net::IoBackend::Writev:
-                                 return "Writev";
-                             case net::IoBackend::IoUring:
-                                 return "IoUring";
-                             default:
-                                 return "Other";
-                             }
-                         });
 
 } // namespace
