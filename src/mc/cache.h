@@ -143,8 +143,8 @@ class CacheCore
         tm::DomainScope ds(&domain_);
         PlainCtx<cfg> c;
         c.volatileStore(&mxCanRun_, std::uint64_t{0});
-        policy_.maintWake(c, MaintDomain::Hash);
-        policy_.maintWake(c, MaintDomain::Slab);
+        policy_.maintWakeOutside(c, MaintDomain::Hash);
+        policy_.maintWakeOutside(c, MaintDomain::Slab);
         hashThread_.join();
         slabThread_.join();
         releaseAllMemory();

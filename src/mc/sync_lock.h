@@ -178,6 +178,25 @@ class LockPolicy
     }
 
     /**
+     * Wake the domain's maintainer from outside any critical section
+     * (the halt in ~CacheCore). On the condition-variable protocol the
+     * caller passes through the domain's lock first, so its flag store
+     * lands either before the maintainer's next predicate check or
+     * after its wait began; a bare notify could fall between the two
+     * and be lost. memcached holds cache_lock for the same reason.
+     */
+    template <typename Ctx>
+    void
+    maintWakeOutside(Ctx &c, MaintDomain dom)
+    {
+        if constexpr (!C.semaphores) {
+            std::lock_guard<ProfiledMutex> pass(
+                dom == MaintDomain::Hash ? cacheLock_ : slabsLock_);
+        }
+        maintWake(c, dom);
+    }
+
+    /**
      * Maintainer-side wait. The predicate is evaluated under the
      * domain's lock (condition-variable protocol) or via plain reads
      * between semaphore waits (semaphore protocol, Figure 2).

@@ -227,6 +227,14 @@ class TmPolicy
         c.semPost(sem(dom));
     }
 
+    /** A semaphore keeps its count, so no post can be lost. */
+    template <typename Ctx>
+    void
+    maintWakeOutside(Ctx &c, MaintDomain dom)
+    {
+        maintWake(c, dom);
+    }
+
     template <typename Pred>
     void
     maintWait(MaintDomain dom, Pred &&pred)

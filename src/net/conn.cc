@@ -57,6 +57,12 @@ Conn::onReadable(std::uint32_t worker, const ExecFn &exec)
                 closeReason_ = CloseReason::Peer;
                 return false;
             }
+            // A short read took everything the socket held. Bytes or
+            // EOF arriving later re-report the fd on the next
+            // level-triggered wait, so a read that would only say
+            // EAGAIN is not worth its syscall.
+            if (static_cast<std::size_t>(n) < sizeof(chunk))
+                break;
             continue;
         }
         if (n == 0) {
@@ -110,11 +116,14 @@ Conn::pump(std::uint32_t worker, const ExecFn &exec)
     // backlog into the socket there will be no EPOLLOUT (nothing
     // pending) and no EPOLLIN (the bytes are already in rbuf_), so
     // any executable frames still buffered must be driven here, now.
-    // The rbuf_-shrank progress test makes the loop terminate: a
-    // pass that consumed nothing (incomplete frame, or still over
-    // the soft cap after a partial flush) cannot repeat forever.
+    // The progress test makes the loop terminate: a pass that
+    // consumed nothing repeats only if it began over the soft cap
+    // (drainFrames could run no frame) and its flush lifted the cap;
+    // one that consumed nothing under the cap (incomplete frame), or
+    // is still over it after a partial flush, ends the loop.
     for (;;) {
         const std::size_t before = rbuf_.size();
+        const bool capped = !wantsRead();
         if (!closing_ && !drainFrames(worker, exec))
             closing_ = true;
         if (!flush())
@@ -127,7 +136,7 @@ Conn::pump(std::uint32_t worker, const ExecFn &exec)
             return false;
         }
         if (closing_ || rbuf_.empty() || !wantsRead() ||
-            rbuf_.size() == before)
+            (rbuf_.size() == before && !capped))
             return true;
     }
 }
@@ -292,11 +301,13 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
             ok = false;
             break;
         }
-        const std::string frame = rbuf_.substr(off, fr.frameLen);
-        if (binary && mc::binIsQuietGet(frame.data(), frame.size())) {
+        // One reused buffer per connection: a frame past the SSO
+        // limit costs no malloc/free once the buffer has grown.
+        frame_.assign(rbuf_, off, fr.frameLen);
+        if (binary && mc::binIsQuietGet(frame_.data(), frame_.size())) {
             if (quietFrames == 0)
                 quietT0 = parse_t0;
-            quietRun += frame;
+            quietRun += frame_;
             ++quietFrames;
             off += fr.frameLen;
             continue;
@@ -304,13 +315,13 @@ Conn::drainFrames(std::uint32_t worker, const ExecFn &exec)
         // Any non-quiet frame terminates the run; its reply must
         // follow the run's hit replies, so flush the batch first.
         flushQuietRun();
-        if (!binary && (frame == "quit\r\n" || frame == "quit\n")) {
+        if (!binary && (frame_ == "quit\r\n" || frame_ == "quit\n")) {
             // memcached's quit: close without a reply.
             off += fr.frameLen;
             ok = false;
             break;
         }
-        timedExec(binary, frame, parse_t0);
+        timedExec(binary, frame_, parse_t0);
         ++served_;
         off += fr.frameLen;
     }

@@ -5,8 +5,9 @@
  *
  * memcached's conn state machine (conn_read -> conn_parse_cmd ->
  * conn_nread -> conn_write) collapses here into two reactive entry
- * points driven by the owning event loop: onReadable() drains the
- * socket, carves complete requests out of the read buffer with the
+ * points driven by the owning event loop: onReadable() reads what the
+ * socket holds (one read per readiness, stopping at the first short
+ * read), carves complete requests out of the read buffer with the
  * mc framing hooks (protocolTryFrame / binaryTryFrame), executes
  * them, and queues replies; onWritable() flushes the reply queue.
  *
@@ -99,9 +100,11 @@ class Conn
     std::uint64_t id() const { return id_; }
 
     /**
-     * Drain the socket, execute every complete buffered request
-     * (pipelining: one read may yield many frames; a frame may also
-     * arrive over many reads), queue replies, and start flushing.
+     * Read until a read returns less than a full chunk (level-triggered
+     * epoll reports later bytes or EOF on the next wait), execute every
+     * complete buffered request (pipelining: one read may yield many
+     * frames; a frame may also arrive over many reads), queue replies,
+     * and start flushing.
      * @return false when the connection is finished (EOF, fatal
      *         socket error, or a framing error whose reply has been
      *         flushed) and should be destroyed.
@@ -196,6 +199,8 @@ class Conn
     std::uint64_t id_;
     const ConnLimits &limits_;
     std::string rbuf_;
+    /** The frame being executed, reused so framing does not allocate. */
+    std::string frame_;
     /** Reply queue; front segment may be partially written (its off).
      *  Segment destructors release pins, so clearing the queue — or
      *  destroying the Conn with replies still queued — cannot leak an

@@ -24,12 +24,12 @@ namespace
 
 /** Register (EPOLL_CTL_ADD) or re-aim (EPOLL_CTL_MOD) @p fd. */
 bool
-epollCtl(int epfd, int op, int fd, bool want_read, bool want_write)
+epollCtl(int epfd, int op, int fd, std::uint32_t events)
 {
     epoll_event ev{};
-    ev.events = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
+    ev.events = events;
     ev.data.fd = fd;
-    return ::epoll_ctl(epfd, op, fd, &ev) == 0;
+    return sys::epollCtl(epfd, op, fd, &ev) == 0;
 }
 
 } // namespace
@@ -52,7 +52,7 @@ EventLoop::start()
     epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
     wakefd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     if (epfd_ < 0 || wakefd_ < 0 ||
-        !epollCtl(epfd_, EPOLL_CTL_ADD, wakefd_, true, false)) {
+        !epollCtl(epfd_, EPOLL_CTL_ADD, wakefd_, EPOLLIN)) {
         closeFds();
         return false;
     }
@@ -125,12 +125,13 @@ EventLoop::adoptPending()
         batch.swap(pending_);
     }
     for (int fd : batch) {
-        if (!epollCtl(epfd_, EPOLL_CTL_ADD, fd, true, false)) {
+        if (!epollCtl(epfd_, EPOLL_CTL_ADD, fd, EPOLLIN)) {
             ::close(fd);
             continue;
         }
-        conns_.emplace(fd,
-                       std::make_unique<Conn>(fd, nextConnId_++, limits_));
+        conns_.emplace(
+            fd, Slot{std::make_unique<Conn>(fd, nextConnId_++, limits_),
+                     EPOLLIN});
         open_.fetch_add(1, std::memory_order_relaxed);
         counters_.currConnections.fetch_add(1, std::memory_order_relaxed);
     }
@@ -142,12 +143,12 @@ EventLoop::closeConn(int fd)
     auto it = conns_.find(fd);
     if (it == conns_.end())
         return;
-    served_.fetch_add(it->second->requestsServed(),
+    served_.fetch_add(it->second.conn->requestsServed(),
                       std::memory_order_relaxed);
-    if (it->second->closeReason() == CloseReason::Backpressure)
+    if (it->second.conn->closeReason() == CloseReason::Backpressure)
         counters_.backpressureCloses.fetch_add(1,
                                                std::memory_order_relaxed);
-    ::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
+    sys::epollCtl(epfd_, EPOLL_CTL_DEL, fd, nullptr);
     conns_.erase(it);  // Conn destructor closes the fd.
     open_.fetch_sub(1, std::memory_order_relaxed);
     counters_.currConnections.fetch_sub(1, std::memory_order_relaxed);
@@ -162,7 +163,7 @@ EventLoop::reapIdle()
     const auto deadline = std::chrono::milliseconds(idleTimeoutMs_);
     std::vector<int> expired;
     for (const auto &kv : conns_)
-        if (now - kv.second->lastActivity() >= deadline)
+        if (now - kv.second.conn->lastActivity() >= deadline)
             expired.push_back(kv.first);
     for (int fd : expired) {
         closeConn(fd);
@@ -175,16 +176,20 @@ EventLoop::retireDrained()
 {
     std::vector<int> done;
     for (const auto &kv : conns_)
-        if (!kv.second->wantsWrite())
+        if (!kv.second.conn->wantsWrite())
             done.push_back(kv.first);
     for (int fd : done)
         closeConn(fd);
 }
 
 void
-EventLoop::updateInterest(Conn &c)
+EventLoop::updateInterest(Slot &s)
 {
-    epollCtl(epfd_, EPOLL_CTL_MOD, c.fd(), c.wantsRead(), c.wantsWrite());
+    const std::uint32_t want = (s.conn->wantsRead() ? EPOLLIN : 0u) |
+                               (s.conn->wantsWrite() ? EPOLLOUT : 0u);
+    if (want != s.events &&
+        epollCtl(epfd_, EPOLL_CTL_MOD, s.conn->fd(), want))
+        s.events = want;
 }
 
 void
@@ -223,7 +228,7 @@ EventLoop::run()
             auto it = conns_.find(fd);
             if (it == conns_.end())
                 continue;
-            Conn &c = *it->second;
+            Conn &c = *it->second.conn;
             const bool readable = (ev & EPOLLIN) != 0;
             const bool writable = (ev & EPOLLOUT) != 0;
             bool alive = true;
@@ -246,7 +251,7 @@ EventLoop::run()
                 closeConn(fd);
                 continue;
             }
-            updateInterest(c);
+            updateInterest(it->second);
         }
         if (draining) {
             retireDrained();
@@ -261,7 +266,7 @@ EventLoop::run()
     }
     // Drain on exit so lingering clients see clean closes.
     for (auto &kv : conns_)
-        served_.fetch_add(kv.second->requestsServed(),
+        served_.fetch_add(kv.second.conn->requestsServed(),
                           std::memory_order_relaxed);
     counters_.currConnections.fetch_sub(conns_.size(),
                                         std::memory_order_relaxed);

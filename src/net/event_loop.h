@@ -16,7 +16,11 @@
  *    than the configured deadline (memcached's idle-timeout reaper);
  *  - backpressure: epoll interest follows Conn::wantsRead(), so a
  *    connection over its write-buffer soft cap stops being polled
- *    for input until the client drains it;
+ *    for input until the client drains it. The loop remembers the
+ *    mask it last registered for each connection and calls
+ *    epoll_ctl(EPOLL_CTL_MOD) only when (wantsRead, wantsWrite)
+ *    differs from it, so a request answered in one writev costs no
+ *    epoll_ctl at all;
  *  - graceful drain: beginDrain() stops request intake, flushes
  *    every queued reply, and retires connections as they empty, so
  *    the loop thread exits on its own once nothing is owed.
@@ -130,8 +134,20 @@ class EventLoop
     void reapIdle();
     /** Drain mode: retire connections whose replies are all out. */
     void retireDrained();
-    /** Set epoll interest according to wantsRead()/wantsWrite(). */
-    void updateInterest(Conn &c);
+    /** A connection and the epoll interest registered for it. */
+    struct Slot
+    {
+        std::unique_ptr<Conn> conn;
+        /** EPOLLIN/EPOLLOUT mask the kernel holds for conn's fd. */
+        std::uint32_t events;
+    };
+
+    /**
+     * Re-aim epoll interest at wantsRead()/wantsWrite() if that
+     * differs from the registered mask. A failed MOD keeps the old
+     * mask, so the next event on the fd retries it.
+     */
+    void updateInterest(Slot &s);
 
     std::uint32_t worker_;
     ExecFn exec_;
@@ -149,7 +165,7 @@ class EventLoop
     std::mutex pendingMu_;
     std::vector<int> pending_;
 
-    std::unordered_map<int, std::unique_ptr<Conn>> conns_;
+    std::unordered_map<int, Slot> conns_;
     std::uint64_t nextConnId_ = 1;
     // atom-protocol: relaxed-counter
     std::atomic<std::uint64_t> served_{0};

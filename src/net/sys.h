@@ -5,14 +5,20 @@
  * Every socket syscall the server's data path issues goes through
  * these shims so that tests can create adverse schedules on demand:
  * an accept(2) that hits EMFILE, a writev(2) that only takes one byte,
- * an epoll_wait(2) that spuriously times out. Each wrapper consults a
- * fault-injection site (common/fault.h) before touching the kernel:
+ * an epoll_wait(2) that spuriously times out. Armed with a policy
+ * that never fires, the same sites count the calls: a steady-state
+ * request costs one epollWait, one readFd and one writevFd, and
+ * epollCtl runs only when a connection's epoll interest changes
+ * (tests/net/test_io_backend.cc pins that budget). Each wrapper
+ * consults a fault-injection site (common/fault.h) before touching
+ * the kernel:
  *
  *   net.accept       fail with policy errno (default EMFILE)
  *   net.read         fail with errno, or short-read via byteCap
  *   net.write        fail with errno, or truncate the gather writev
  *                    to byteCap bytes (a short write)
  *   net.epoll_wait   fail with errno, or report zero events
+ *   net.epoll_ctl    fail ADD/MOD/DEL with errno (default ENOMEM)
  *   net.sys.connect  fail with errno (default ECONNREFUSED)
  *
  * Sites that model a slow peer honour the policy's delayUs payload
@@ -140,6 +146,19 @@ epollWait(int epfd, epoll_event *events, int maxevents, int timeout_ms)
         }
     }
     return ::epoll_wait(epfd, events, maxevents, timeout_ms);
+}
+
+TM_UNSAFE inline int
+epollCtl(int epfd, int op, int fd, epoll_event *event)
+{
+    if (fault::enabled()) {
+        const fault::Action a = fault::consult("net.epoll_ctl");
+        if (a.fire) {
+            errno = a.errnoValue != 0 ? a.errnoValue : ENOMEM;
+            return -1;
+        }
+    }
+    return ::epoll_ctl(epfd, op, fd, event);
 }
 
 } // namespace tmemc::net::sys

@@ -519,13 +519,18 @@ namespace detail
 void
 handleRetry(Runtime &rt, TxDesc &d)
 {
-    // Snapshot the commit clocks before releasing anything, so a
-    // commit that lands during our rollback is not missed.
+    // Wait from the attempt's begin snapshot (startTime, or the NOrec
+    // seqlock value), not from now: a commit that landed after the
+    // failed predicate read but before this point would otherwise be
+    // missed, and if it was the last one coming (a producer's final
+    // item), the wait below would never end.
     TxDomain &dom = d.dom();
+    const bool norec = rt.cfg().algo == AlgoKind::NOrec;
     const std::uint64_t clock_then =
-        dom.clock.load(std::memory_order_acquire);
+        norec ? dom.clock.load(std::memory_order_acquire) : d.startTime;
     const std::uint64_t seq_then =
-        dom.norecSeq.load(std::memory_order_acquire);
+        norec ? d.norecSnapshot
+              : dom.norecSeq.load(std::memory_order_acquire);
 
     const bool was_ro_fast = d.roFast;
     d.roFast = false;

@@ -289,8 +289,9 @@ TEST_P(BranchTest, ManyKeysSurviveHashExpansion)
 
 TEST_P(BranchTest, EvictionKeepsCacheWithinBudget)
 {
-    // Tiny cache: force the eviction path hard.
-    tm::Runtime::get().configure(runtimeCfgFor(GetParam()));
+    // Tiny cache: force the eviction path hard. SetUp configured the
+    // runtime already; configuring again here would race the fixture
+    // cache's maintainer threads, whose probes may be transactions.
     Settings s;
     s.maxBytes = 64 * 1024;
     s.slabPageSize = 16 * 1024;

@@ -287,6 +287,75 @@ TEST_P(ChaosTest, SpuriousEpollTimeoutsDoNotLoseEvents)
 }
 
 // ----------------------------------------------------------------------
+// epoll_ctl failures
+// ----------------------------------------------------------------------
+
+TEST_P(ChaosTest, FailedPauseModIsRetriedWithoutLosingReplies)
+{
+    // A tiny soft cap, so one 4 KiB reply pauses EPOLLIN.
+    server_->stop();
+    net::ServerCfg cfg;
+    cfg.port = 0;
+    cfg.workers = kWorkers;
+    cfg.limits.wbufSoftCap = 2 * 1024;
+    server_ = std::make_unique<net::Server>(*cache_, cfg);
+    ASSERT_TRUE(server_->start());
+
+    net::Client c = makeClient();
+    auto valueFor = [](int i) {
+        return std::string(4096, static_cast<char>('a' + i));
+    };
+    constexpr int kKeys = 8;
+    for (int i = 0; i < kKeys; ++i)
+        ASSERT_EQ(c.roundTripAscii("set pm" + std::to_string(i) +
+                                   " 0 0 4096\r\n" + valueFor(i) +
+                                   "\r\n"),
+                  "STORED\r\n");
+
+    // Writes stall, and the first epoll_ctl after this point -- the
+    // MOD that would pause EPOLLIN and arm EPOLLOUT -- fails. The loop
+    // must keep its old mask so the next event retries the MOD.
+    fault::Policy stall;
+    stall.trigger = fault::Trigger::EveryNth;
+    stall.n = 1;
+    stall.errnoValue = EAGAIN;
+    fault::ScopedFault sfw("net.write", stall);
+    fault::Policy once;
+    once.trigger = fault::Trigger::OneShot;
+    once.errnoValue = ENOMEM;
+    fault::ScopedFault sfc("net.epoll_ctl", once);
+
+    auto gets = [](int from, int to) {
+        std::string burst;
+        for (int i = from; i < to; ++i)
+            burst += "get pm" + std::to_string(i) + "\r\n";
+        return burst;
+    };
+    ASSERT_TRUE(c.sendAll(gets(0, kKeys / 2)));
+    for (int i = 0; i < 2000 && sfc.firedCount() == 0; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(sfc.firedCount(), 1u);
+
+    // More input is the next event on the fd: its MOD retry succeeds.
+    ASSERT_TRUE(c.sendAll(gets(kKeys / 2, kKeys)));
+    for (int i = 0; i < 2000 && sfc.hitCount() < 2; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GE(sfc.hitCount(), 2u);
+
+    // Lift the write stall: every reply arrives, in order, intact.
+    fault::disarm("net.write");
+    for (int i = 0; i < kKeys; ++i) {
+        std::string reply;
+        ASSERT_TRUE(c.recvAscii(reply)) << "reply " << i;
+        EXPECT_EQ(reply, "VALUE pm" + std::to_string(i) + " 0 4096\r\n" +
+                             valueFor(i) + "\r\nEND\r\n")
+            << "reply " << i;
+    }
+    // The connection resumed reading.
+    verifyTraffic(c, 3, "pr");
+}
+
+// ----------------------------------------------------------------------
 // Everything at once
 // ----------------------------------------------------------------------
 

@@ -12,15 +12,25 @@
  * zero-copy — the IT-* branches copy every reply and would test
  * nothing the other net suites do not.
  *
+ * The SyscallBudget* cases pin what one served request costs: one
+ * read(2), one writev(2), and an epoll_ctl(2) only when a connection's
+ * epoll interest changes. They count the server's calls through the
+ * net/sys.h fault sites, armed with a policy that never fires.
+ *
  * Tests named *Chaos* run fault schedules on the net.write site; the
  * CMake registration exposes them under `ctest -L chaos` too.
  */
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
 #include <atomic>
+#include <netinet/in.h>
 #include <string>
+#include <sys/socket.h>
+#include <sys/time.h>
 #include <thread>
+#include <unistd.h>
 #include <vector>
 
 #include "common/fault.h"
@@ -98,6 +108,7 @@ class WritePathTest : public ::testing::Test
     void
     TearDown() override
     {
+        fault::setHitHook(nullptr);
         fault::disarmAll();
         if (server_ != nullptr)
             server_->stop();
@@ -238,6 +249,243 @@ TEST_F(WritePathTest, SlowReaderHitsBackpressureOnPinnedBytes)
     EXPECT_EQ(fresh.roundTripAscii("get big\r\n"),
               "VALUE big 0 " + std::to_string(big.size()) + "\r\n" +
                   big + "\r\nEND\r\n");
+}
+
+// ----------------------------------------------------------------------
+// The per-request syscall budget
+// ----------------------------------------------------------------------
+
+/** Give the server loop time to issue any call still owed. */
+void
+settle()
+{
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+}
+
+/**
+ * Arm the server's read, writev and epoll_ctl sites with a policy
+ * that never fires, so fault::hits counts their calls from zero. The
+ * test client calls the kernel directly, so only server calls count.
+ */
+void
+countServerSyscalls()
+{
+    settle();
+    fault::Policy never;
+    never.trigger = fault::Trigger::Probability;
+    never.probability = 0.0;
+    for (const char *site : {"net.read", "net.write", "net.epoll_ctl"})
+        fault::arm(site, never);
+}
+
+TEST_F(WritePathTest, SyscallBudgetAsciiRoundTripIsOneReadOneWritev)
+{
+    startServer(net::ServerCfg{});
+    net::Client c = makeClient();
+    // The first round trip also pays the connection's EPOLL_CTL_ADD.
+    ASSERT_EQ(c.roundTripAscii("set warm 0 0 1\r\nw\r\n"), "STORED\r\n");
+    countServerSyscalls();
+
+    constexpr std::uint64_t kN = 20;
+    const std::string v(100, 'a');
+    for (std::uint64_t i = 0; i < kN; ++i) {
+        const std::string k = "ab" + std::to_string(i / 2);
+        if (i % 2 == 0) {
+            ASSERT_EQ(c.roundTripAscii("set " + k + " 0 0 100\r\n" + v +
+                                       "\r\n"),
+                      "STORED\r\n");
+        } else {
+            ASSERT_EQ(c.roundTripAscii("get " + k + "\r\n"),
+                      "VALUE " + k + " 0 100\r\n" + v + "\r\nEND\r\n");
+        }
+    }
+    settle();
+    EXPECT_EQ(fault::hits("net.read"), kN);
+    EXPECT_EQ(fault::hits("net.write"), kN);
+    EXPECT_EQ(fault::hits("net.epoll_ctl"), 0u);
+}
+
+TEST_F(WritePathTest, SyscallBudgetBinaryRoundTripIsOneReadOneWritev)
+{
+    startServer(net::ServerCfg{});
+    net::Client c = makeClient();
+    ASSERT_FALSE(c.roundTripBinary(mc::binSetRequest("warm", "w")).empty());
+    countServerSyscalls();
+
+    constexpr std::uint64_t kN = 20;
+    const std::string v(100, 'b');
+    for (std::uint64_t i = 0; i < kN; ++i) {
+        const std::string k = "bb" + std::to_string(i / 2);
+        const std::string wire = c.roundTripBinary(
+            i % 2 == 0 ? mc::binSetRequest(k, v)
+                       : mc::binRequest(mc::BinOp::Get, k));
+        mc::BinResponse r;
+        ASSERT_GT(mc::binParseResponse(wire, r), 0u) << "request " << i;
+        ASSERT_EQ(r.status, mc::BinStatus::Ok) << "request " << i;
+        if (i % 2 == 1) {
+            ASSERT_EQ(r.value, v) << "request " << i;
+        }
+    }
+    settle();
+    EXPECT_EQ(fault::hits("net.read"), kN);
+    EXPECT_EQ(fault::hits("net.write"), kN);
+    EXPECT_EQ(fault::hits("net.epoll_ctl"), 0u);
+}
+
+TEST_F(WritePathTest, SyscallBudgetPipelinedBurstIsOneReadOneWritev)
+{
+    startServer(net::ServerCfg{});
+    net::Client c = makeClient();
+    const std::string v(100, 'c');
+    ASSERT_EQ(c.roundTripAscii("set pb 0 0 100\r\n" + v + "\r\n"),
+              "STORED\r\n");
+    countServerSyscalls();
+
+    // 20 pinned hits queue 41 segments: one gather write takes them.
+    constexpr int kK = 20;
+    std::string burst;
+    for (int i = 0; i < kK; ++i)
+        burst += "get pb\r\n";
+    ASSERT_TRUE(c.sendAll(burst));
+    for (int i = 0; i < kK; ++i) {
+        std::string reply;
+        ASSERT_TRUE(c.recvAscii(reply)) << "reply " << i;
+        ASSERT_EQ(reply, "VALUE pb 0 100\r\n" + v + "\r\nEND\r\n")
+            << "reply " << i;
+    }
+    settle();
+    EXPECT_EQ(fault::hits("net.read"), 1u);
+    EXPECT_EQ(fault::hits("net.write"), 1u);
+    EXPECT_EQ(fault::hits("net.epoll_ctl"), 0u);
+}
+
+TEST_F(WritePathTest, SyscallBudgetEpollCtlOnlyWhenInterestChanges)
+{
+    net::ServerCfg cfg;
+    cfg.limits.wbufSoftCap = 2 * 1024;
+    startServer(cfg);
+    net::Client c = makeClient();
+    const std::string v(4096, 'd');
+    ASSERT_EQ(c.roundTripAscii("set sc 0 0 4096\r\n" + v + "\r\n"),
+              "STORED\r\n");
+    countServerSyscalls();
+
+    // Stall every gather write: the first reply pushes the backlog
+    // over the soft cap, so the loop swaps EPOLLIN for EPOLLOUT (one
+    // MOD) and then wakes on EPOLLOUT again and again, each time
+    // failing one more writev, without changing the mask.
+    fault::Policy stall;
+    stall.trigger = fault::Trigger::EveryNth;
+    stall.n = 1;
+    stall.errnoValue = EAGAIN;
+    fault::arm("net.write", stall);
+    constexpr int kGets = 3;
+    std::string burst;
+    for (int i = 0; i < kGets; ++i)
+        burst += "get sc\r\n";
+    ASSERT_TRUE(c.sendAll(burst));
+    for (int i = 0; i < 2000 && fault::hits("net.write") < 50; ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GE(fault::hits("net.write"), 50u);
+    EXPECT_EQ(fault::hits("net.epoll_ctl"), 1u);
+
+    // Lift the stall: the backlog drains, the buffered gets run, and
+    // the loop swaps back to EPOLLIN (the second MOD).
+    fault::disarm("net.write");
+    for (int i = 0; i < kGets; ++i) {
+        std::string reply;
+        ASSERT_TRUE(c.recvAscii(reply)) << "reply " << i;
+        ASSERT_EQ(reply, "VALUE sc 0 4096\r\n" + v + "\r\nEND\r\n")
+            << "reply " << i;
+    }
+    settle();
+    EXPECT_EQ(fault::hits("net.epoll_ctl"), 2u);
+
+    // Back to the steady state: no further MODs.
+    ASSERT_EQ(c.roundTripAscii("get nope\r\n"), "END\r\n");
+    settle();
+    EXPECT_EQ(fault::hits("net.epoll_ctl"), 2u);
+}
+
+// ----------------------------------------------------------------------
+// The read path: one read per readiness, stopping at a short read
+// ----------------------------------------------------------------------
+
+TEST_F(WritePathTest, SetSplitOverThreeSendsGetsOneStored)
+{
+    startServer(net::ServerCfg{});
+    net::Client c = makeClient();
+    // Each piece lands in its own readiness; the frame completes only
+    // with the last one.
+    ASSERT_TRUE(c.sendAll("set split 0 0 10\r\n"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(c.sendAll("hello"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(c.sendAll("world\r\n"));
+    std::string reply;
+    ASSERT_TRUE(c.recvAscii(reply));
+    EXPECT_EQ(reply, "STORED\r\n");
+    // Nothing else was queued behind the STORED.
+    EXPECT_EQ(c.roundTripAscii("get split\r\n"),
+              "VALUE split 0 10\r\nhelloworld\r\nEND\r\n");
+}
+
+TEST_F(WritePathTest, HalfCloseRightAfterRequestStillGetsFullReply)
+{
+    startServer(net::ServerCfg{});
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(server_->port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr *>(&addr),
+                        sizeof(addr)),
+              0);
+
+    // The request and the FIN arrive together: the server must answer
+    // before it acts on the EOF, then close its side.
+    const std::string v(1000, 'h');
+    const std::string req =
+        "set hc 0 0 1000\r\n" + v + "\r\nget hc\r\n";
+    ASSERT_EQ(::send(fd, req.data(), req.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(req.size()));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+    std::string got;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
+        got.append(buf, static_cast<std::size_t>(n));
+    EXPECT_EQ(n, 0) << "no EOF from the server (errno " << errno << ")";
+    ::close(fd);
+    EXPECT_EQ(got, "STORED\r\nVALUE hc 0 1000\r\n" + v + "\r\nEND\r\n");
+}
+
+TEST_F(WritePathTest, RequestLargerThanReadChunkIsFramed)
+{
+    mc::Settings settings;
+    settings.maxBytes = 16 * 1024 * 1024;
+    settings.slabPageSize = 64 * 1024;
+    settings.itemSizeMax = 64 * 1024;
+    cache_ = mc::makeCache("IP-onCommit", settings, kWorkers + 1);
+    ASSERT_NE(cache_, nullptr);
+    startServer(net::ServerCfg{});
+    net::Client c = makeClient();
+    // 40 KiB spans several 16 KiB read chunks and, at any moment,
+    // possibly a partial one.
+    std::string v;
+    for (int i = 0; v.size() < 40 * 1024; ++i)
+        v += std::to_string(i) + ",";
+    const std::string len = std::to_string(v.size());
+    ASSERT_EQ(c.roundTripAscii("set big40 0 0 " + len + "\r\n" + v +
+                               "\r\n"),
+              "STORED\r\n");
+    EXPECT_EQ(c.roundTripAscii("get big40\r\n"),
+              "VALUE big40 0 " + len + "\r\n" + v + "\r\nEND\r\n");
 }
 
 // ----------------------------------------------------------------------
@@ -533,6 +781,55 @@ TEST_F(WritePathTest, ChaosWritevEagainRetriesWithoutCorruption)
                       v + "\r\nEND\r\n")
             << "round " << i;
     }
+}
+
+std::atomic<int> g_stalledWrites{0};
+
+/** Fault hit hook: disarm net.write on its second consult. */
+void
+liftStallOnSecondWrite(const char *site)
+{
+    if (std::string(site) == "net.write" && ++g_stalledWrites == 2)
+        fault::disarm("net.write");
+}
+
+TEST_F(WritePathTest, ChaosFlushThatLiftsSoftCapResumesBufferedGets)
+{
+    // Regression: a pump pass that begins over the soft cap executes
+    // nothing, and if its flush then empties the queue, the gets still
+    // buffered get no EPOLLIN (their bytes were read) and no EPOLLOUT
+    // (nothing is queued). The pump must run another pass for them.
+    net::ServerCfg cfg;
+    cfg.limits.wbufSoftCap = 2 * 1024;
+    startServer(cfg);
+    net::Client c = makeClient();
+    c.setRecvTimeout(3000);
+    const std::string v(4096, 'l');
+    ASSERT_EQ(c.roundTripAscii("set lc 0 0 4096\r\n" + v + "\r\n"),
+              "STORED\r\n");
+
+    // Gather writes report EAGAIN until the second one, which lifts
+    // the stall as it fails. That second write is onWritable's flush;
+    // the pump pass after it starts capped and its flush succeeds.
+    fault::Policy p;
+    p.trigger = fault::Trigger::EveryNth;
+    p.n = 1;
+    p.errnoValue = EAGAIN;
+    fault::ScopedFault sfw("net.write", p);
+    g_stalledWrites.store(0);
+    fault::setHitHook(&liftStallOnSecondWrite);
+    constexpr int kGets = 3;
+    std::string burst;
+    for (int i = 0; i < kGets; ++i)
+        burst += "get lc\r\n";
+    ASSERT_TRUE(c.sendAll(burst));
+    for (int i = 0; i < kGets; ++i) {
+        std::string reply;
+        ASSERT_TRUE(c.recvAscii(reply)) << "reply " << i;
+        ASSERT_EQ(reply, "VALUE lc 0 4096\r\n" + v + "\r\nEND\r\n")
+            << "reply " << i;
+    }
+    EXPECT_EQ(sfw.firedCount(), 2u);
 }
 
 TEST_F(WritePathTest, ChaosEvictionPressureNeverTearsPinnedReplies)

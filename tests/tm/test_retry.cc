@@ -59,6 +59,59 @@ TEST_P(RetryTest, RetryBlocksUntilPredicateHolds)
     EXPECT_GE(snap.total.retries, 1u);
 }
 
+TEST_P(RetryTest, CommitBetweenReadAndRetryWakesTheWaiter)
+{
+    // Regression: the wait used to snapshot the commit clocks when the
+    // retry was handled, after the failed predicate read. A commit that
+    // landed in between was never waited for; when it was the last one
+    // coming, the waiter slept forever.
+    static std::uint64_t flag;
+    flag = 0;
+    std::atomic<bool> read_done{false};
+    std::atomic<bool> woke{false};
+
+    std::thread waiter([&] {
+        bool first = true;
+        tm::run(attr, [&](tm::TxDesc &tx) {
+            if (tm::txLoad(tx, &flag) != 0)
+                return;
+            if (first) {
+                // Hold the retry until the setter's commit has moved
+                // the domain's clocks (its clock for the orec
+                // algorithms, its seqlock for NOrec).
+                first = false;
+                tm::TxDomain &dom = tx.dom();
+                const std::uint64_t clock = dom.clock.load();
+                const std::uint64_t seq = dom.norecSeq.load();
+                read_done = true;
+                while (dom.clock.load() == clock &&
+                       dom.norecSeq.load() == seq)
+                    std::this_thread::yield();
+            }
+            tm::retry(tx);
+        });
+        woke = true;
+    });
+
+    while (!read_done.load())
+        std::this_thread::yield();
+    tm::run(attr, [&](tm::TxDesc &tx) {
+        tm::txStore<std::uint64_t>(tx, &flag, 1);
+    });
+    // No later commit is coming: the waiter must wake on this one.
+    for (int i = 0; i < 2000 && !woke.load(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    EXPECT_TRUE(woke.load());
+    if (!woke.load()) {
+        // Release a waiter that missed the commit, so the failure
+        // ends the test instead of hanging it.
+        tm::run(attr, [&](tm::TxDesc &tx) {
+            tm::txStore<std::uint64_t>(tx, &flag, 2);
+        });
+    }
+    waiter.join();
+}
+
 TEST_P(RetryTest, RetryRollsBackSpeculativeWrites)
 {
     static std::uint64_t cell;
