@@ -23,8 +23,10 @@
 #ifndef TMEMC_MC_SYNC_TM_H
 #define TMEMC_MC_SYNC_TM_H
 
-#include <map>
-#include <shared_mutex>
+#include <array>
+#include <atomic>
+#include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "common/backoff.h"
@@ -40,42 +42,77 @@ namespace tmemc::mc
 
 /**
  * Per-policy cache of TxnAttr instances, one per critical-section
- * site. Node-based map keeps attribute addresses stable (the TM
- * runtime keys its per-site profile on them).
+ * site. Every section entry resolves its attribute here, so a hit
+ * takes no lock and does no RMW: the cache is an open-addressed table
+ * of (site, attr) slots, each filled once under the mutex and
+ * published by a release store of its key. Slots never move, so
+ * attribute addresses stay stable (the TM runtime keys its per-site
+ * profile on them).
  */
 template <BranchCfg C>
 class SiteAttrRegistry
 {
   public:
+    // atom-nonblocking: resolved on every critical-section entry
     const tm::TxnAttr &
     get(const SiteInfo &site)
     {
-        {
-            std::shared_lock<std::shared_mutex> rd(mu_);
-            auto it = attrs_.find(&site);
-            if (it != attrs_.end())
-                return it->second;
+        for (std::size_t i = home(site);; i = (i + 1) & kMask) {
+            const SiteInfo *key = keys_[i].load(std::memory_order_acquire);
+            if (key == &site)
+                return attrs_[i];
+            if (key == nullptr)
+                return insert(site);
         }
-        std::unique_lock<std::shared_mutex> wr(mu_);
-        auto [it, inserted] = attrs_.try_emplace(&site);
-        if (inserted) {
-            const bool always = anyUnsafe(C, site.alwaysUnsafe);
-            const bool maybe = anyUnsafe(C, site.maybeUnsafe);
-            it->second.name = site.name;
-            it->second.kind = (always || maybe) ? tm::TxnKind::Relaxed
-                                                : tm::TxnKind::Atomic;
-            it->second.startsSerial = always;
-            // A section every path of which is read-only is eligible
-            // for the invisible-reader fast path — unless it must
-            // start serial, in which case it never runs speculatively.
-            it->second.readOnlyHint = site.readOnly && !always;
-        }
-        return it->second;
     }
 
   private:
-    std::shared_mutex mu_;
-    std::map<const SiteInfo *, tm::TxnAttr> attrs_;
+    /** Table size: well above the cache's site count. One slot always
+     *  stays empty so a probe for a missing site terminates. */
+    static constexpr std::size_t kSlots = 64;
+    static constexpr std::size_t kMask = kSlots - 1;
+
+    static std::size_t
+    home(const SiteInfo &site)
+    {
+        const std::uintptr_t h = reinterpret_cast<std::uintptr_t>(&site) >> 3;
+        return (h ^ (h >> 7)) & kMask;
+    }
+
+    const tm::TxnAttr &
+    insert(const SiteInfo &site)
+    {
+        std::lock_guard<std::mutex> guard(mu_);
+        std::size_t i = home(site);
+        for (;; i = (i + 1) & kMask) {
+            const SiteInfo *key = keys_[i].load(std::memory_order_acquire);
+            if (key == &site)
+                return attrs_[i];  // Another thread filled it first.
+            if (key == nullptr)
+                break;
+        }
+        if (++used_ == kSlots)
+            panic("SiteAttrRegistry: more than %zu sites", kSlots - 1);
+        tm::TxnAttr &attr = attrs_[i];
+        const bool always = anyUnsafe(C, site.alwaysUnsafe);
+        const bool maybe = anyUnsafe(C, site.maybeUnsafe);
+        attr.name = site.name;
+        attr.kind = (always || maybe) ? tm::TxnKind::Relaxed
+                                      : tm::TxnKind::Atomic;
+        attr.startsSerial = always;
+        // A section every path of which is read-only is eligible for
+        // the invisible-reader fast path — unless it must start
+        // serial, in which case it never runs speculatively.
+        attr.readOnlyHint = site.readOnly && !always;
+        keys_[i].store(&site, std::memory_order_release);
+        return attr;
+    }
+
+    std::mutex mu_;
+    std::size_t used_ = 0;  // Guarded by mu_.
+    // atom-protocol: release-acquire-pair
+    std::array<std::atomic<const SiteInfo *>, kSlots> keys_{};
+    std::array<tm::TxnAttr, kSlots> attrs_{};
 };
 
 /** Transactional policy for branch configuration C. */

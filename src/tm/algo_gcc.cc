@@ -88,8 +88,14 @@ class GccEagerAlgo : public Algo
             const std::uint64_t w2 = o.load(std::memory_order_relaxed);
             if (w1 != w2)
                 continue;  // Raced with a commit; re-sample.
-            if (s1.version() > d.startTime && !extendStartTime(rt, d))
-                throw TxAbort{};
+            if (s1.version() > d.startTime) {
+                // The extension revalidates the older reads only. A
+                // commit between this sample and its clock read would
+                // go unseen, so re-sample at the new start time.
+                if (!extendStartTime(rt, d))
+                    throw TxAbort{};
+                continue;
+            }
             d.readSet.push_back({&o, w1});
             return val;
         }

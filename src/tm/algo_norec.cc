@@ -160,7 +160,7 @@ class NOrecAlgo : public Algo
             std::atomic_thread_fence(std::memory_order_acquire);
             // atom-allow: relaxed re-read ordered by the fence above
             if (d.dom().norecSeq.load(std::memory_order_relaxed) == t) {
-                d.publishStart(t);
+                d.advanceStart(t);
                 return t;
             }
         }

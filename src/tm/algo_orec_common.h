@@ -49,7 +49,7 @@ extendStartTime(Runtime &rt, TxDesc &d)
     if (!validateReadSet(d))
         return false;
     d.startTime = now;
-    d.publishStart(now);
+    d.advanceStart(now);
     return true;
 }
 

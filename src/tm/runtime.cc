@@ -87,6 +87,16 @@ Runtime::registerThread(TxDesc *d)
     std::lock_guard<std::mutex> guard(regLock_);
     d->threadId = nextThreadId_++;
     threads_.push_back(d);
+    if (!freeSlots_.empty()) {
+        d->slot = freeSlots_.back();
+        freeSlots_.pop_back();
+        return;
+    }
+    // Never freed: quiesce() may be walking the list at any time.
+    auto *slot = new StartSlot;
+    slot->next = slots_.load(std::memory_order_acquire);
+    slots_.store(slot, std::memory_order_release);
+    d->slot = slot;
 }
 
 void
@@ -95,23 +105,29 @@ Runtime::unregisterThread(TxDesc *d)
     std::lock_guard<std::mutex> guard(regLock_);
     departed_.push_back(d->stats);
     std::erase(threads_, d);
+    // tm::run always unpublishes (an escaping exception commits), so
+    // the slot is idle when its thread exits.
+    freeSlots_.push_back(d->slot);
+    d->slot = nullptr;
 }
 
+// atom-nonblocking: on every writer commit's path
 void
 Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
                  const TxDesc *self)
 {
-    // Hold the registry lock for the whole wait so no descriptor can
-    // be destroyed under us. This cannot deadlock: callers quiesce
-    // only after unpublishing their own attempt, so a second committer
-    // blocked on this mutex no longer holds anyone else up.
-    std::lock_guard<std::mutex> guard(regLock_);
-    for (TxDesc *other : threads_) {
-        if (other == self)
+    // Pairs with the fence in TxDesc::publishStart. This commit's
+    // writes precede the fence and a transaction's reads follow its
+    // own, so either the scan below sees that transaction's start or
+    // the transaction sees these writes.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    for (const StartSlot *s = slots_.load(std::memory_order_acquire);
+         s != nullptr; s = s->next) {
+        if (s == self->slot)
             continue;
-        for (;;) {
+        for (int spins = 0;; ++spins) {
             const std::uint64_t pub =
-                other->pubStart.load(std::memory_order_acquire);
+                s->pubStart.load(std::memory_order_acquire);
             if (pub == 0 || pub - 1 >= commit_time)
                 break;
             // Cross-domain starts are on unrelated clocks; comparing
@@ -120,9 +136,17 @@ Runtime::quiesce(TxDomain *domain, std::uint64_t commit_time,
             // precedes the start publication (release order), so a
             // mismatch here means either a genuinely foreign
             // transaction or one that already unpublished.
-            if (other->domain.load(std::memory_order_relaxed) != domain)
+            if (s->pubDomain.load(std::memory_order_relaxed) != domain)
                 break;
-            std::this_thread::yield();
+            // Bounded spin, then yield, as in SerialLock::readLock.
+            // The bound outlasts a typical transaction (~1k PAUSEs is
+            // ~25 us on a 25 ns PAUSE; in-process memslap transactions
+            // run ~8 us at p99), so a yield means the awaited thread
+            // is likely descheduled rather than still running.
+            if (spins < 1024)
+                cpuRelax();
+            else
+                std::this_thread::yield();
         }
     }
 }
@@ -270,9 +294,8 @@ setupTop(Runtime &rt, TxDesc &d, const TxnAttr &attr)
     // Bind the ambient domain before any start time can be published:
     // quiesce() pairs its pubStart acquire with the publish release, so
     // this relaxed store is ordered before the publication it tags.
-    TxDomain *domain = tlsDomain;
-    d.domain.store(domain != nullptr ? domain : &rt.homeDomain(),
-                   std::memory_order_relaxed);
+    d.domain = tlsDomain != nullptr ? tlsDomain : &rt.homeDomain();
+    d.slot->pubDomain.store(d.domain, std::memory_order_relaxed);
     d.attr = &attr;
     d.kind = attr.kind;
     d.serialCause = attr.startsSerial ? SerialCause::Start

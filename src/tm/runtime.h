@@ -64,7 +64,9 @@ class Runtime
 
     // ------------------------------------------------------------------
     // Thread registry (the separate thread-creation lock GCC needed
-    // once the readers/writer lock was removed)
+    // once the readers/writer lock was removed). Registration gives
+    // the descriptor a StartSlot: a recycled one if a thread has
+    // exited, else a new one linked onto the slot list.
     // ------------------------------------------------------------------
     void registerThread(TxDesc *d);
     void unregisterThread(TxDesc *d);
@@ -74,6 +76,10 @@ class Runtime
      * transaction in @p domain that started before @p commit_time is
      * still running. Transactions in other domains are invisible —
      * their published start times are on unrelated clocks.
+     *
+     * Lock-free, like libitm's: it walks the slot list and spins on
+     * each slot's published start, with no registry lock and no
+     * syscall until a bounded spin gives way to yield().
      */
     void quiesce(TxDomain *domain, std::uint64_t commit_time,
                  const TxDesc *self);
@@ -98,6 +104,12 @@ class Runtime
     std::vector<TxDesc *> threads_;
     std::vector<ThreadStats> departed_;
     std::uint64_t nextThreadId_ = 1;
+    /** Head of the grow-only StartSlot list. Linked under regLock_;
+     *  walked lock-free by quiesce(). Slots are never freed. */
+    // atom-protocol: release-acquire-pair
+    std::atomic<StartSlot *> slots_{nullptr};
+    /** Slots of exited threads, awaiting reuse (under regLock_). */
+    std::vector<StartSlot *> freeSlots_;
 };
 
 namespace detail

@@ -8,8 +8,9 @@
  * library analogue of libitm's gtm_thread.
  *
  * The descriptor is cache-line aligned so its address can double as an
- * orec lock word (low bit free, see orec.h), and so concurrent
- * publishing of pubStart does not false-share.
+ * orec lock word (low bit free, see orec.h). The start time that
+ * commit-time quiescence reads lives outside it, in a StartSlot that
+ * outlives the thread (see StartSlot).
  */
 
 #ifndef TMEMC_TM_TXDESC_H
@@ -89,6 +90,32 @@ enum class RunState : std::uint8_t
     SerialIrrevocable,  //!< Exclusive, uninstrumented execution.
 };
 
+/**
+ * One thread's published transaction start, the word commit-time
+ * quiescence scans (Runtime::quiesce). Slots sit on a grow-only list
+ * owned by the Runtime and are never freed, so a scan that is still
+ * walking the list when a thread exits reads a live slot; the exiting
+ * thread's slot is recycled for the next thread to register. Padded
+ * to a cache line so one thread's publication does not false-share
+ * with another's.
+ */
+struct alignas(cachelineBytes) StartSlot
+{
+    /** Published start time; 0 = inactive. Stored as startTime + 1 so
+     *  that startTime 0 is representable. Store->load ordering against
+     *  the attempt's reads comes from the seq_cst fences in
+     *  TxDesc::publishStart and Runtime::quiesce, not from this
+     *  word's own orders. */
+    // atom-protocol: release-acquire-pair
+    std::atomic<std::uint64_t> pubStart{0};
+    /** Domain of the published transaction. */
+    // atom-protocol: relaxed-ok(ordering rides on pubStart: written
+    // before its release store, read after its acquire load)
+    std::atomic<TxDomain *> pubDomain{nullptr};
+    /** Next slot on the Runtime's list; immutable once linked. */
+    StartSlot *next = nullptr;
+};
+
 /** Per-thread transaction descriptor. */
 class alignas(cachelineBytes) TxDesc
 {
@@ -126,29 +153,22 @@ class alignas(cachelineBytes) TxDesc
     // Algorithm state
     // ------------------------------------------------------------------
     /**
-     * Domain this transaction runs in (set by setupTop before the
-     * start time is published; read concurrently by quiesce()). Points
-     * at the runtime's home domain unless a DomainScope was in effect.
+     * Domain this transaction runs in (set by setupTop, which also
+     * copies it into the quiescence slot). Points at the runtime's
+     * home domain unless a DomainScope was in effect.
      */
-    // atom-protocol: relaxed-ok(ordering rides on pubStart: written
-    // before its release store, read after its acquire load)
-    std::atomic<TxDomain *> domain{nullptr};
+    TxDomain *domain = nullptr;
 
     /** The running transaction's domain (algorithm fast path). */
-    TxDomain &
-    dom()
-    {
-        return *domain.load(std::memory_order_relaxed);
-    }
+    TxDomain &dom() { return *domain; }
+
+    /** This thread's quiescence slot (set by Runtime::registerThread). */
+    StartSlot *slot = nullptr;
 
     /** Snapshot of the global clock (GccEager / Lazy). */
     std::uint64_t startTime = 0;
     /** Snapshot of the NOrec sequence lock. */
     std::uint64_t norecSnapshot = 0;
-    /** Published start time for commit-time quiescence; 0 = inactive.
-     *  Stored as startTime + 1 so that startTime 0 is representable. */
-    // atom-protocol: release-acquire-pair
-    std::atomic<std::uint64_t> pubStart{0};
 
     std::vector<ReadEntry> readSet;
     std::vector<ValueEntry> valueReads;
@@ -206,18 +226,38 @@ class alignas(cachelineBytes) TxDesc
         redoLog.clear();
     }
 
-    /** Publish this attempt's start time for quiescence. */
+    /**
+     * Publish this attempt's start time for quiescence, before its
+     * first transactional read. The seq_cst fence keeps those reads
+     * from being satisfied ahead of the publication: without it a
+     * privatizing committer could read pubStart == 0 while this
+     * attempt already reads the data being privatized (the
+     * store-buffering pattern). It pairs with the fence that opens
+     * Runtime::quiesce; libitm's serial_lock.read_lock has the same.
+     */
     void
     publishStart(std::uint64_t start_time)
     {
-        pubStart.store(start_time + 1, std::memory_order_release);
+        slot->pubStart.store(start_time + 1, std::memory_order_release);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+    }
+
+    /**
+     * Raise the published start time after a timestamp extension.
+     * Needs no fence: the attempt was already visible, and a quiescer
+     * that reads the older value only waits longer.
+     */
+    void
+    advanceStart(std::uint64_t start_time)
+    {
+        slot->pubStart.store(start_time + 1, std::memory_order_release);
     }
 
     /** Withdraw from quiescence consideration. */
     void
     unpublishStart()
     {
-        pubStart.store(0, std::memory_order_release);
+        slot->pubStart.store(0, std::memory_order_release);
     }
 };
 

@@ -80,6 +80,49 @@ TEST_P(AtomicityTest, NoLostIncrements)
     EXPECT_EQ(counter, static_cast<std::uint64_t>(threads) * perThread);
 }
 
+TEST_P(AtomicityTest, NoLostIncrementsAcrossExtension)
+{
+    // Forces timestamp extension on the counter's load: each
+    // transaction first reads `noise`, which the other threads keep
+    // bumping, so by the time it reads `counter` a commit has usually
+    // moved the counter's orec past its start time. An extension that
+    // revalidates the older reads but keeps the counter word sampled
+    // before it lets a commit landing in between go unseen, and the
+    // increment then commits on a stale value.
+    constexpr int threads = 4;
+    constexpr int perThread = 5000;
+    struct alignas(64) Word
+    {
+        std::uint64_t v;
+    };
+    static Word noise, counter;
+    noise.v = 0;
+    counter.v = 0;
+    static const tm::TxnAttr bumpAttr{"prop:ext-bump", tm::TxnKind::Atomic,
+                                      false};
+
+    std::vector<std::thread> workers;
+    for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([] {
+            for (int i = 0; i < perThread; ++i) {
+                tm::run(bumpAttr, [](tm::TxDesc &tx) {
+                    tm::txStore<std::uint64_t>(
+                        tx, &noise.v, tm::txLoad(tx, &noise.v) + 1);
+                });
+                tm::run(incrAttr, [](tm::TxDesc &tx) {
+                    (void)tm::txLoad(tx, &noise.v);
+                    tm::txStore<std::uint64_t>(
+                        tx, &counter.v, tm::txLoad(tx, &counter.v) + 1);
+                });
+            }
+        });
+    }
+    for (auto &w : workers)
+        w.join();
+    EXPECT_EQ(counter.v, static_cast<std::uint64_t>(threads) * perThread);
+    EXPECT_EQ(noise.v, static_cast<std::uint64_t>(threads) * perThread);
+}
+
 TEST_P(AtomicityTest, BankConservation)
 {
     constexpr int accounts = 16;

@@ -200,7 +200,7 @@ TEST(OpacityRecorder, DropsStragglerFromPreviousWindow)
     // record would fail the checker spuriously).
     tm::TxDomain dom(8);
     tm::TxDesc straggler;
-    straggler.domain.store(&dom);
+    straggler.domain = &dom;
 
     tm::opacity::arm();  // Window N.
     tm::opacity::beginRecord(straggler);
@@ -219,7 +219,7 @@ TEST(OpacityRecorder, StragglerOverflowDoesNotPoisonNewWindow)
 {
     tm::TxDomain dom(8);
     tm::TxDesc straggler;
-    straggler.domain.store(&dom);
+    straggler.domain = &dom;
 
     tm::opacity::arm();
     tm::opacity::beginRecord(straggler);

@@ -16,6 +16,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/backoff.h"
+#include "litmus_harness.h"
 #include "tm/api.h"
 #include "tm_test_util.h"
 
@@ -172,6 +174,57 @@ TEST_P(PrivatizationTest, UnlinkThenReclaimIsSafe)
     scanner.join();
     EXPECT_FALSE(bad.load());
     EXPECT_EQ(head, nullptr);
+}
+
+TEST_P(PrivatizationTest, ReaderStartIsVisibleToPrivatizerScan)
+{
+    // Store buffering between a reader's start publication and a
+    // privatizer's quiescence scan, raced round by round. The reader
+    // publishes its start and reads `flag`; the privatizer commits
+    // flag = 1, scans for older readers, then writes `data` with a
+    // plain store. If the reader's flag read can pass its own start
+    // publication, the scan can miss a reader that saw flag == 0, and
+    // that reader then sees the privatized write. The reader's start
+    // is staggered over the rounds to sweep the alignment of the two.
+    struct alignas(64) Word
+    {
+        std::uint64_t v;
+    };
+    static Word flag, data;
+    constexpr int rounds = 20000;
+    std::atomic<std::uint64_t> seen{0};
+    int violations = 0;
+    int stagger = 0;
+
+    litmus::litmusRun(
+        rounds,
+        [&] {
+            flag.v = 0;
+            data.v = 0;
+        },
+        {[&](unsigned) {
+             for (int spin = stagger++ % 32; spin > 0; --spin)
+                 cpuRelax();
+             seen.store(tm::run(touchAttr, [](tm::TxDesc &tx) {
+                 if (tm::txLoad(tx, &flag.v) != 0)
+                     return std::uint64_t{0};  // Privatized: stay away.
+                 for (int spin = 0; spin < 64; ++spin)
+                     cpuRelax();
+                 return tm::txLoad(tx, &data.v) + 1;
+             }));
+         },
+         [&](unsigned) {
+             tm::run(lockAttr, [](tm::TxDesc &tx) {
+                 tm::txStore<std::uint64_t>(tx, &flag.v, 1);
+             });
+             data.v = 1;  // Privatized: plain write.
+         }},
+        [&](int) {
+            // 2 = saw flag == 0 and the write made after privatizing.
+            if (seen.load() == 2)
+                ++violations;
+        });
+    EXPECT_EQ(violations, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(
