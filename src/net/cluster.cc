@@ -378,10 +378,20 @@ Cluster::attemptOp(std::size_t idx, const std::string &request,
     return NodeOp::NetFail;
 }
 
+std::mutex &
+Cluster::writeStripe(const std::string &key)
+{
+    return writeStripes_[mc::hashKey(key.data(), key.size()) %
+                         writeStripes_.size()];
+}
+
 ClusterResult
 Cluster::set(const std::string &key, const std::string &value)
 {
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
+    // The deadline starts once the stripe is held: it bounds this
+    // write's own network work, not its wait behind an earlier one.
+    std::lock_guard<std::mutex> ordered(writeStripe(key));
     const std::uint64_t deadline = nowMs() + cfg_.requestDeadlineMs;
     const std::vector<std::size_t> owners = ownersOf(key);
     const std::string req = storeRequest("set", key, value);
@@ -474,6 +484,7 @@ ClusterResult
 Cluster::del(const std::string &key)
 {
     stats_.requests.fetch_add(1, std::memory_order_relaxed);
+    std::lock_guard<std::mutex> ordered(writeStripe(key));
     const std::uint64_t deadline = nowMs() + cfg_.requestDeadlineMs;
     const std::vector<std::size_t> owners = ownersOf(key);
     const std::string req = "delete " + key + "\r\n";

@@ -26,7 +26,10 @@
  *     primary and fail over to the replica on network failure; a
  *     primary MISS is double-checked against the replica so a
  *     restarted-empty primary cannot silently lose data, and a
- *     replica hit repairs the primary.
+ *     replica hit repairs the primary. Writes of one key hold a
+ *     striped per-key mutex across their whole fan-out, so every
+ *     owner applies them in the same order and the replicas of a key
+ *     cannot diverge under concurrent sets from one client.
  *
  * Read-repair deliberately uses `add` (store-if-absent), not `set`:
  * a repair racing a fresh client write must never clobber the newer
@@ -52,6 +55,7 @@
 #ifndef TMEMC_NET_CLUSTER_H
 #define TMEMC_NET_CLUSTER_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -186,6 +190,9 @@ class Cluster
     /** Probe an ejected node if one is due; true if re-admitted. */
     bool maybeProbe(std::size_t idx);
 
+    /** Mutex ordering the writes of @p key (see writeStripes_). */
+    std::mutex &writeStripe(const std::string &key);
+
     void recordSuccess(std::size_t idx);
     void recordFailure(std::size_t idx);
     std::uint64_t backoffSleepMs(unsigned attempt);
@@ -194,6 +201,10 @@ class Cluster
     std::vector<std::unique_ptr<Node>> nodes_;
     /** Sorted ring: (hash point, node index). */
     std::vector<std::pair<std::uint32_t, std::uint32_t>> ring_;
+    /** set/del of one key hold its stripe across the fan-out: two
+     *  concurrent writes would otherwise reach the owners in opposite
+     *  orders and leave them holding different values. */
+    std::array<std::mutex, 64> writeStripes_;
     // atom-protocol: relaxed-counter
     std::atomic<std::uint64_t> jitterSeq_{0};
     std::uint64_t metricsToken_ = 0;

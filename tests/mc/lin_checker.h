@@ -12,8 +12,9 @@
  * sequential model of a single key. Linearizability is a local
  * (per-object) property [Herlihy & Wing 1990, Thm. 1] and every
  * operation here touches exactly one key, so the search decomposes by
- * key and stays small enough for an exhaustive DFS with memoization on
- * (done-set, model state).
+ * key and stays small enough for the exhaustive memoized DFS of
+ * tests/common/history_search.h, which also FAILs explicitly when a
+ * subhistory is too wide or exceeds the node budget.
  *
  * Cluster histories add one wrinkle: an operation whose reply was lost
  * (connection cut mid-request, node killed) may or may not have taken
@@ -27,17 +28,15 @@
 #ifndef TMEMC_TESTS_MC_LIN_CHECKER_H
 #define TMEMC_TESTS_MC_LIN_CHECKER_H
 
-#include <gtest/gtest.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "../common/history_search.h"
 #include "mc/cache.h"
 
 namespace tmemc::lintest
@@ -94,127 +93,108 @@ class HistoryRecorder
 using KeyState = std::optional<std::uint64_t>;
 
 /**
- * Replay @p op against @p st. @return false if the observed result is
- * impossible from this state (the candidate linearization dies).
+ * The single-key specification for the shared Wing & Gong search
+ * (tests/common/history_search.h). Indeterminate ops never bound the
+ * pending responses (ret == kNeverReturned) and are optional: the
+ * search succeeds once every determinate op is linearized.
  */
-inline bool
-applyOp(const Op &op, KeyState &st)
+struct KeySpec
 {
-    if (op.indeterminate) {
-        // No observed result to validate — the op either applied its
-        // effect or (handled by the caller skipping it) never ran.
+    using State = KeyState;
+
+    const std::vector<const Op *> &ops;
+
+    std::size_t size() const { return ops.size(); }
+    std::uint64_t invoke(std::size_t i) const { return ops[i]->invoke; }
+    std::uint64_t ret(std::size_t i) const { return ops[i]->ret; }
+    bool optional(std::size_t i) const { return ops[i]->indeterminate; }
+
+    /**
+     * Replay op @p i against @p st. @return false if its observed
+     * result is impossible from this state (the candidate dies).
+     */
+    bool
+    apply(std::size_t i, KeyState &st) const
+    {
+        const Op &op = *ops[i];
+        if (op.indeterminate) {
+            // No observed result to validate: the op applied its
+            // effect here, or (left unplaced by the search) never ran.
+            switch (op.kind) {
+              case OpKind::Set:
+                st = op.arg;
+                return true;
+              case OpKind::Del:
+                st.reset();
+                return true;
+              default:
+                return false;  // Lost gets/incrs must not be recorded.
+            }
+        }
         switch (op.kind) {
+          case OpKind::Get:
+            if (!st.has_value())
+                return op.status == mc::OpStatus::Miss;
+            return op.status == mc::OpStatus::Ok &&
+                   op.out == std::to_string(*st);
           case OpKind::Set:
+            if (op.status != mc::OpStatus::Ok)
+                return false;  // Plain set must succeed.
             st = op.arg;
             return true;
           case OpKind::Del:
+            if (!st.has_value())
+                return op.status == mc::OpStatus::Miss;
+            if (op.status != mc::OpStatus::Ok)
+                return false;
             st.reset();
             return true;
-          default:
-            return false;  // Lost gets/incrs must not be recorded.
+          case OpKind::Incr:
+            if (!st.has_value())
+                return op.status == mc::OpStatus::Miss;
+            if (op.status != mc::OpStatus::Ok ||
+                op.outNum != *st + op.arg)
+                return false;
+            st = *st + op.arg;
+            return true;
         }
+        return false;
     }
-    switch (op.kind) {
-      case OpKind::Get:
-        if (!st.has_value())
-            return op.status == mc::OpStatus::Miss;
-        return op.status == mc::OpStatus::Ok &&
-               op.out == std::to_string(*st);
-      case OpKind::Set:
-        if (op.status != mc::OpStatus::Ok)
-            return false;  // Plain set must succeed.
-        st = op.arg;
+
+    void
+    memo(const KeyState &st, std::string &key) const
+    {
+        key += st ? std::to_string(*st) : "~";
+    }
+};
+
+/** Check one key's subhistory from the empty-cache state. On failure,
+ *  dumps it to stderr so a CI failure is actionable (the workflow
+ *  uploads it as an artifact). */
+inline bool
+linearizableKey(std::vector<const Op *> sub)
+{
+    if (histsearch::search(KeySpec{sub}, std::nullopt, "linearizability"))
         return true;
-      case OpKind::Del:
-        if (!st.has_value())
-            return op.status == mc::OpStatus::Miss;
-        if (op.status != mc::OpStatus::Ok)
-            return false;
-        st.reset();
-        return true;
-      case OpKind::Incr:
-        if (!st.has_value())
-            return op.status == mc::OpStatus::Miss;
-        if (op.status != mc::OpStatus::Ok ||
-            op.outNum != *st + op.arg)
-            return false;
-        st = *st + op.arg;
-        return true;
+    std::fprintf(stderr, "non-linearizable subhistory for key '%s':\n",
+                 sub.front()->key.c_str());
+    static const char *const kKinds[] = {"get", "set", "del", "incr"};
+    for (const Op *op : sub) {
+        std::fprintf(stderr,
+                     "  [%llu,%llu] %s %s arg=%llu -> status=%d out=%s "
+                     "outNum=%llu%s\n",
+                     static_cast<unsigned long long>(op->invoke),
+                     static_cast<unsigned long long>(op->ret),
+                     kKinds[static_cast<int>(op->kind)], op->key.c_str(),
+                     static_cast<unsigned long long>(op->arg),
+                     static_cast<int>(op->status), op->out.c_str(),
+                     static_cast<unsigned long long>(op->outNum),
+                     op->indeterminate ? " (indeterminate)" : "");
     }
     return false;
 }
 
-/**
- * Wing & Gong search over one key's subhistory: repeatedly pick a
- * *minimal* pending operation (one invoked before every pending
- * response, so no real-time edge forces anything ahead of it), replay
- * it, recurse. Memoizes (done-set, state) — reaching the same set of
- * completed operations with the same model value again can never
- * succeed where it previously failed. Indeterminate ops never bound
- * min_ret (ret == kNeverReturned) and are optional: the search
- * succeeds once every determinate op is linearized.
- */
-inline bool
-linearizableKey(const std::vector<const Op *> &ops)
-{
-    const std::size_t n = ops.size();
-    if (n == 0)
-        return true;
-    if (n > 64) {
-        ADD_FAILURE() << "per-key history too large for the checker ("
-                      << n << " ops); lower the op count";
-        return false;
-    }
-    std::uint64_t det_mask = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (!ops[i]->indeterminate)
-            det_mask |= 1ull << i;
-    }
-    std::unordered_set<std::string> visited;
-
-    struct DfsFn
-    {
-        const std::vector<const Op *> &ops;
-        std::unordered_set<std::string> &visited;
-        std::uint64_t detMask;
-
-        bool
-        operator()(std::uint64_t done, const KeyState &st) const
-        {
-            const std::size_t n = ops.size();
-            if ((done & detMask) == detMask)
-                return true;
-            std::string memo = std::to_string(done) + "|" +
-                               (st ? std::to_string(*st) : "~");
-            if (!visited.insert(std::move(memo)).second)
-                return false;
-            // An op may linearize next only if it was invoked before
-            // every pending op's response.
-            std::uint64_t min_ret = ~0ull;
-            for (std::size_t i = 0; i < n; ++i) {
-                if ((done & (1ull << i)) == 0)
-                    min_ret = std::min(min_ret, ops[i]->ret);
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                if ((done & (1ull << i)) != 0)
-                    continue;
-                if (ops[i]->invoke > min_ret)
-                    continue;
-                KeyState next = st;
-                if (!applyOp(*ops[i], next))
-                    continue;
-                if ((*this)(done | (1ull << i), next))
-                    return true;
-            }
-            return false;
-        }
-    };
-    return DfsFn{ops, visited, det_mask}(0, std::nullopt);
-}
-
-/** Split by key and check every subhistory; empty-cache initial state.
- *  On failure, dumps the offending subhistory to stderr so a CI
- *  failure is actionable (the workflow uploads it as an artifact). */
+/** Split by key (linearizability is local) and check every key. */
 inline bool
 linearizable(const std::vector<Op> &history)
 {
@@ -229,30 +209,8 @@ linearizable(const std::vector<Op> &history)
             if (op.key == k)
                 sub.push_back(&op);
         }
-        if (!linearizableKey(sub)) {
-            std::fprintf(stderr,
-                         "non-linearizable subhistory for key '%s':\n",
-                         k.c_str());
-            for (const Op *op : sub) {
-                const char *kind =
-                    op->kind == OpKind::Get   ? "get"
-                    : op->kind == OpKind::Set ? "set"
-                    : op->kind == OpKind::Del ? "del"
-                                              : "incr";
-                std::fprintf(
-                    stderr,
-                    "  [%llu,%llu] %s %s arg=%llu -> status=%d out=%s "
-                    "outNum=%llu%s\n",
-                    static_cast<unsigned long long>(op->invoke),
-                    static_cast<unsigned long long>(op->ret), kind,
-                    op->key.c_str(),
-                    static_cast<unsigned long long>(op->arg),
-                    static_cast<int>(op->status), op->out.c_str(),
-                    static_cast<unsigned long long>(op->outNum),
-                    op->indeterminate ? " (indeterminate)" : "");
-            }
+        if (!linearizableKey(std::move(sub)))
             return false;
-        }
     }
     return true;
 }

@@ -27,10 +27,12 @@
  * expects rejection, so a vacuously-accepting checker cannot pass.
  */
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -175,6 +177,24 @@ TEST(LinearizabilityChecker, IndeterminateSetCannotApplyBeforeInvoke)
     h.push_back(mkOp(OpKind::Get, 2, 3, OpStatus::Ok, 0, "9"));
     h.push_back(lost);
     EXPECT_FALSE(linearizable(h));
+}
+
+TEST(LinearizabilityChecker, WideUnlinearizableHistoryFailsOnNodeBudget)
+{
+    // Forty overlapping sets, then a get of a value none of them
+    // wrote. No order explains it, and the search cannot visit the
+    // 2^40 placed sets on the way to that verdict: it must stop at its
+    // node budget with an explicit FAIL instead of stalling the suite.
+    std::vector<Op> h;
+    for (std::uint64_t i = 0; i < 40; ++i)
+        h.push_back(mkOp(OpKind::Set, i, 100 + i, OpStatus::Ok, i + 1));
+    h.push_back(mkOp(OpKind::Get, 200, 201, OpStatus::Ok, 0, "0"));
+    const auto t0 = std::chrono::steady_clock::now();
+    bool ok = true;
+    EXPECT_NONFATAL_FAILURE(ok = linearizable(h), "node budget");
+    EXPECT_FALSE(ok);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(20));
 }
 
 // ------------------------------------------------------- cache harness

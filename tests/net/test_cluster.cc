@@ -414,6 +414,42 @@ TEST_F(ClusterTest, DelayInjectedSlowNodeStillCompletes)
     EXPECT_TRUE(c.nodeHealthy(1));  // Slow is not dead.
 }
 
+TEST_F(ClusterTest, ConcurrentSetsOfOneKeyLeaveOwnersAgreeing)
+{
+    // Thread A's write to the replica stalls on a one-shot delay while
+    // thread B sets the same key. Unless same-key writes are ordered,
+    // B lands on both owners during the stall and A's late replica
+    // write then leaves the two owners holding different values.
+    net::Cluster c(liveCfg());
+    const std::string key = keyOwnedBy(c, 0);
+    const std::vector<std::size_t> owners = c.ownersOf(key);
+    ASSERT_EQ(owners.size(), 2u);
+
+    fault::Policy p;
+    p.trigger = fault::Trigger::OneShot;
+    p.delayUs = 300000;
+    fault::ScopedFault slow("net.cluster.node." + std::to_string(owners[1]),
+                            p);
+
+    std::thread a([&] {
+        EXPECT_EQ(c.set(key, "a").status, net::ClusterStatus::Ok);
+    });
+    // A has written the primary and is now stalled before the replica.
+    const std::string a_on_primary = "VALUE " + key + " 0 1\r\na\r\nEND\r\n";
+    const auto limit =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (directGet(owners[0], key) != a_on_primary &&
+           std::chrono::steady_clock::now() < limit)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    std::thread b([&] {
+        EXPECT_EQ(c.set(key, "b").status, net::ClusterStatus::Ok);
+    });
+    b.join();
+    a.join();
+    EXPECT_EQ(slow.firedCount(), 1u);
+    EXPECT_EQ(directGet(owners[0], key), directGet(owners[1], key));
+}
+
 TEST_F(ClusterTest, StatsClusterRendersThroughAnyServer)
 {
     net::Cluster c(liveCfg());

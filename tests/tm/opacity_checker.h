@@ -14,38 +14,32 @@
  * participate as read-only observers: their writes never reach the
  * replayed memory.
  *
- * Search shape, after lin_checker.h: DFS over "which attempt
- * serializes next", restricted to real-time-minimal candidates, with
- * exact memoization on (done-set, memory state). Because the recorded
- * workload's initial memory contents are unknown, word values are
- * bound lazily: the first read of an undefined byte defines it, and
- * the bindings travel with the state so memoization stays exact. A
- * fast pre-pass replays the attempts in end-stamp order — for the
- * STM algorithms under test the commit order essentially is the stamp
- * order, so real (correct) histories verify in linear time and the
- * DFS only runs when something actually needs reordering.
+ * Search: the Wing & Gong DFS of tests/common/history_search.h over
+ * "which attempt serializes next", with the replayed memory as the
+ * model state. Because the recorded workload's initial memory contents
+ * are unknown, word values are bound lazily: the first read of an
+ * undefined byte defines it, and the bindings travel with the state so
+ * memoization stays exact. A fast pre-pass replays the attempts in
+ * end-stamp order — for the STM algorithms under test the commit order
+ * essentially is the stamp order, so real (correct) histories verify
+ * in linear time and the DFS only runs when something actually needs
+ * reordering.
  *
- * Failure is never silent: histories too large for the bitmask or a
- * search that exhausts its node budget FAIL with an explicit message
- * (a vacuous pass would defeat the gate), and a genuine violation
- * dumps the offending per-domain history to stderr so CI can upload
- * it as an artifact.
+ * Every failure dumps the offending per-domain history to stderr so
+ * CI can upload it as an artifact.
  */
 
 #ifndef TMEMC_TESTS_TM_OPACITY_CHECKER_H
 #define TMEMC_TESTS_TM_OPACITY_CHECKER_H
 
-#include <gtest/gtest.h>
-
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
+#include "../common/history_search.h"
 #include "tm/opacity.h"
 
 namespace tmemc::opctest
@@ -53,11 +47,6 @@ namespace tmemc::opctest
 
 using tm::opacity::Access;
 using tm::opacity::TxRecord;
-
-/** Attempt-count cap: the DFS done-set is a 256-bit mask. */
-constexpr std::size_t kMaxTxPerDomain = 256;
-/** DFS node budget; exhaustion FAILS (explicitly, never vacuously). */
-constexpr std::size_t kNodeBudget = 4u << 20;
 
 /** One word of replayed memory: value bits that have been defined
  *  (written, or bound by a read of initially-unknown memory). */
@@ -74,127 +63,87 @@ using MemState = std::map<std::uintptr_t, WordVal>;
 namespace detail
 {
 
-/**
- * Replay one attempt against @p st in program order.
- *
- * Reads must match @p st merged under the attempt's own prior writes
- * (read-your-own-writes); bytes no one has defined yet are bound to
- * the observed value — the run's unknown initial memory. Committed
- * attempts then publish their write overlay into @p st; aborted ones
- * discard it (their effects were rolled back).
- *
- * @return false when some read cannot have come from this state — the
- *         candidate serialization dies.
- */
-inline bool
-replayAttempt(const TxRecord &rec, MemState &st)
+/** The opacity replay as a specification for the shared search. */
+struct ReplaySpec
 {
-    std::map<std::uintptr_t, WordVal> overlay;
-    for (const Access &a : rec.accesses) {
-        if (a.isWrite) {
-            WordVal &w = overlay[a.addr];
-            w.value = (w.value & ~a.mask) | (a.value & a.mask);
-            w.defined |= a.mask;
-            continue;
-        }
-        const auto ov = overlay.find(a.addr);
-        const std::uint64_t own_mask =
-            ov != overlay.end() ? ov->second.defined : 0;
-        if (ov != overlay.end() &&
-            ((a.value ^ ov->second.value) & own_mask) != 0)
-            return false;  // Disagrees with its own earlier write.
-        WordVal &mem = st[a.addr];
-        const std::uint64_t mem_mask = mem.defined & ~own_mask;
-        if (((a.value ^ mem.value) & mem_mask) != 0)
-            return false;  // Disagrees with the serialized state.
-        // Bind still-undefined bytes to the observed value: they are
-        // the workload's initial memory contents.
-        const std::uint64_t fresh = ~own_mask & ~mem.defined;
-        if (fresh != 0) {
-            mem.value = (mem.value & ~fresh) | (a.value & fresh);
-            mem.defined |= fresh;
-        }
-    }
-    if (rec.committed) {
-        for (const auto &[addr, w] : overlay) {
-            WordVal &mem = st[addr];
-            mem.value = (mem.value & ~w.defined) | (w.value & w.defined);
-            mem.defined |= w.defined;
-        }
-    }
-    return true;
-}
+    using State = MemState;
 
-/** Exact memo key: done-mask plus the full serialized memory state. */
-inline std::string
-memoKey(const std::array<std::uint64_t, 4> &done, const MemState &st)
-{
-    std::string key;
-    key.reserve(32 + st.size() * 24);
-    auto put = [&key](std::uint64_t v) {
-        key.append(reinterpret_cast<const char *>(&v), sizeof(v));
-    };
-    for (std::uint64_t w : done)
-        put(w);
-    for (const auto &[addr, w] : st) {
-        put(addr);
-        put(w.value & w.defined);
-        put(w.defined);
-    }
-    return key;
-}
-
-struct OpacityDfs
-{
     const std::vector<const TxRecord *> &recs;
-    std::unordered_set<std::string> visited;
-    std::size_t nodes = 0;
-    bool budgetExhausted = false;
 
+    std::size_t size() const { return recs.size(); }
+    std::uint64_t invoke(std::size_t i) const { return recs[i]->begin; }
+    std::uint64_t ret(std::size_t i) const { return recs[i]->end; }
+    bool optional(std::size_t) const { return false; }
+
+    /**
+     * Replay attempt @p i against @p st in program order. Reads must
+     * match @p st merged under the attempt's own prior writes
+     * (read-your-own-writes); bytes no one has defined yet are bound
+     * to the observed value — the run's unknown initial memory.
+     * Committed attempts then publish their write overlay into @p st;
+     * aborted ones discard it (their effects were rolled back).
+     * @return false when some read cannot have come from this state.
+     */
     bool
-    search(std::array<std::uint64_t, 4> done, std::size_t placed,
-           const MemState &st)
+    apply(std::size_t i, MemState &st) const
     {
-        const std::size_t n = recs.size();
-        if (placed == n)
-            return true;
-        if (++nodes > kNodeBudget) {
-            budgetExhausted = true;
-            return false;
+        const TxRecord &rec = *recs[i];
+        std::map<std::uintptr_t, WordVal> overlay;
+        for (const Access &a : rec.accesses) {
+            if (a.isWrite) {
+                WordVal &w = overlay[a.addr];
+                w.value = (w.value & ~a.mask) | (a.value & a.mask);
+                w.defined |= a.mask;
+                continue;
+            }
+            const auto ov = overlay.find(a.addr);
+            const std::uint64_t own_mask =
+                ov != overlay.end() ? ov->second.defined : 0;
+            if (ov != overlay.end() &&
+                ((a.value ^ ov->second.value) & own_mask) != 0)
+                return false;  // Disagrees with its own earlier write.
+            WordVal &mem = st[a.addr];
+            const std::uint64_t mem_mask = mem.defined & ~own_mask;
+            if (((a.value ^ mem.value) & mem_mask) != 0)
+                return false;  // Disagrees with the serialized state.
+            // Bind still-undefined bytes to the observed value: they
+            // are the workload's initial memory contents.
+            const std::uint64_t fresh = ~own_mask & ~mem.defined;
+            if (fresh != 0) {
+                mem.value = (mem.value & ~fresh) | (a.value & fresh);
+                mem.defined |= fresh;
+            }
         }
-        if (!visited.insert(memoKey(done, st)).second)
-            return false;
-        auto is_done = [&done](std::size_t i) {
-            return (done[i / 64] >> (i % 64)) & 1;
+        if (rec.committed) {
+            for (const auto &[addr, w] : overlay) {
+                WordVal &mem = st[addr];
+                mem.value =
+                    (mem.value & ~w.defined) | (w.value & w.defined);
+                mem.defined |= w.defined;
+            }
+        }
+        return true;
+    }
+
+    /** Exact encoding of the full serialized memory state. */
+    void
+    memo(const MemState &st, std::string &key) const
+    {
+        auto put = [&key](std::uint64_t v) {
+            key.append(reinterpret_cast<const char *>(&v), sizeof(v));
         };
-        // Real-time minimality: an attempt may serialize next only if
-        // no still-pending attempt completed before it began.
-        std::uint64_t min_end = ~0ull;
-        for (std::size_t i = 0; i < n; ++i) {
-            if (!is_done(i))
-                min_end = std::min(min_end, recs[i]->end);
+        for (const auto &[addr, w] : st) {
+            put(addr);
+            put(w.value & w.defined);
+            put(w.defined);
         }
-        for (std::size_t i = 0; i < n; ++i) {
-            if (is_done(i) || recs[i]->begin > min_end)
-                continue;
-            MemState next = st;
-            if (!replayAttempt(*recs[i], next))
-                continue;
-            auto next_done = done;
-            next_done[i / 64] |= 1ull << (i % 64);
-            if (search(next_done, placed + 1, next))
-                return true;
-            if (budgetExhausted)
-                return false;
-        }
-        return false;
     }
 };
 
 inline void
-dumpHistory(const std::vector<const TxRecord *> &recs, const char *why)
+dumpHistory(const std::vector<const TxRecord *> &recs)
 {
-    std::fprintf(stderr, "non-opaque history (%s), %zu attempts:\n", why,
+    std::fprintf(stderr, "non-opaque history, %zu attempts:\n",
                  recs.size());
     for (const TxRecord *r : recs) {
         std::fprintf(
@@ -235,41 +184,22 @@ opaqueSingleDomain(std::vector<const TxRecord *> recs)
                   [](const TxRecord *r) { return r->accesses.empty(); });
     if (recs.empty())
         return true;
-    if (recs.size() > kMaxTxPerDomain) {
-        ADD_FAILURE() << "history too large for the opacity checker ("
-                      << recs.size() << " attempts per domain); lower "
-                      << "the op count";
-        return false;
-    }
     // Fast pre-pass: end-stamp order respects real time by
     // construction and is the algorithms' natural commit order.
     std::sort(recs.begin(), recs.end(),
               [](const TxRecord *a, const TxRecord *b) {
                   return a->end < b->end;
               });
-    {
-        MemState st;
-        bool ok = true;
-        for (const TxRecord *r : recs) {
-            if (!detail::replayAttempt(*r, st)) {
-                ok = false;
-                break;
-            }
-        }
-        if (ok)
-            return true;
-    }
-    detail::OpacityDfs dfs{recs, {}, 0, false};
-    if (dfs.search({}, 0, MemState{}))
+    const detail::ReplaySpec spec{recs};
+    MemState st;
+    std::size_t i = 0;
+    while (i < recs.size() && spec.apply(i, st))
+        ++i;
+    if (i == recs.size())
         return true;
-    if (dfs.budgetExhausted) {
-        ADD_FAILURE() << "opacity search exhausted its node budget ("
-                      << kNodeBudget << " nodes) — shrink the workload "
-                      << "rather than trusting a vacuous pass";
-        detail::dumpHistory(recs, "search budget exhausted");
-        return false;
-    }
-    detail::dumpHistory(recs, "no valid serialization");
+    if (histsearch::search(spec, MemState{}, "opacity"))
+        return true;
+    detail::dumpHistory(recs);
     return false;
 }
 

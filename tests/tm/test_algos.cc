@@ -1,8 +1,9 @@
 /**
  * @file
  * Algorithm-specific behaviours: rollback restoring memory (direct
- * update), redo-log merging (buffered update), conflict detection, and
- * abort statistics.
+ * update), redo-log merging (buffered update), conflict detection,
+ * abort statistics, and timestamp extension when a write locks an orec
+ * newer than the writer's start time.
  */
 
 #include <gtest/gtest.h>
@@ -10,6 +11,7 @@
 #include <atomic>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "tm/api.h"
 #include "tm_test_util.h"
@@ -154,6 +156,117 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(tm::AlgoKind::GccEager, tm::AlgoKind::Lazy,
                       tm::AlgoKind::NOrec, tm::AlgoKind::RA,
                       tm::AlgoKind::Serial),
+    [](const ::testing::TestParamInfo<tm::AlgoKind> &info) {
+        return tmemc::tests::algoName(info.param);
+    });
+
+/**
+ * Extension at lock time, driven deterministically. A transaction
+ * reads one word and is parked while another thread commits; it then
+ * writes a word whose orec that commit made newer than its start time.
+ * GccEager meets the newer orec in storeWord, Lazy and RA in the
+ * commit's lock phase; both go through the same acquire helper.
+ */
+class LockTimeExtensionTest : public ::testing::TestWithParam<tm::AlgoKind>
+{
+  protected:
+    void SetUp() override { useRuntime(GetParam(), tm::CmKind::NoCM); }
+
+    /** Words on separate cache lines, so each has its own orec. */
+    struct alignas(64) Cell
+    {
+        std::uint64_t v = 0;
+    };
+
+    static tm::OrecWord &
+    orecOf(const std::uint64_t *word)
+    {
+        return tm::Runtime::get().homeDomain().orecs().forWord(
+            tm::wordBase(word));
+    }
+
+    /**
+     * Commit @p val to every cell of @p words from another thread and
+     * return once the commit has released its orecs. Its quiescence
+     * then waits for the caller's older transaction, so join the
+     * thread only after that transaction ends.
+     */
+    static std::thread
+    commitFromOtherThread(std::vector<std::uint64_t *> words,
+                          std::uint64_t val)
+    {
+        std::vector<std::uint64_t> before;
+        for (const std::uint64_t *w : words)
+            before.push_back(orecOf(w).load(std::memory_order_acquire));
+        std::thread t([words, val] {
+            tm::run(attr, [&](tm::TxDesc &tx) {
+                for (std::uint64_t *w : words)
+                    tm::txStore<std::uint64_t>(tx, w, val);
+            });
+        });
+        for (std::size_t i = 0; i < words.size(); ++i) {
+            for (;;) {
+                const std::uint64_t o =
+                    orecOf(words[i]).load(std::memory_order_acquire);
+                if ((o & 1) == 0 && o != before[i])
+                    break;
+                std::this_thread::yield();
+            }
+        }
+        return t;
+    }
+};
+
+TEST_P(LockTimeExtensionTest, BlindWriteToNewerOrecExtendsAndCommits)
+{
+    static Cell read;
+    static Cell written;
+    read.v = 1;
+    written.v = 0;
+    std::thread other;
+    int attempts = 0;
+    tm::run(attr, [&](tm::TxDesc &tx) {
+        ++attempts;
+        const std::uint64_t r = tm::txLoad(tx, &read.v);
+        if (attempts == 1)
+            other = commitFromOtherThread({&written.v}, 7);
+        // The read is still valid, so the newer orec only needs the
+        // start time extended past it: no abort.
+        tm::txStore<std::uint64_t>(tx, &written.v, r + 100);
+    });
+    other.join();
+    EXPECT_EQ(attempts, 1);
+    EXPECT_EQ(written.v, 101u);
+    EXPECT_EQ(tm::Runtime::get().snapshot().total.aborts, 0u);
+}
+
+TEST_P(LockTimeExtensionTest, WriteAfterOverwrittenReadAbortsThenRetries)
+{
+    static Cell read;
+    static Cell written;
+    read.v = 1;
+    written.v = 0;
+    std::thread other;
+    int attempts = 0;
+    tm::run(attr, [&](tm::TxDesc &tx) {
+        ++attempts;
+        const std::uint64_t r = tm::txLoad(tx, &read.v);
+        if (attempts == 1)
+            other = commitFromOtherThread({&read.v, &written.v}, 7);
+        // The extension must revalidate the read and fail: committing
+        // here would publish a value computed from the stale r == 1.
+        tm::txStore<std::uint64_t>(tx, &written.v, r + 100);
+    });
+    other.join();
+    EXPECT_EQ(attempts, 2);
+    EXPECT_EQ(written.v, 107u);
+    EXPECT_EQ(tm::Runtime::get().snapshot().total.aborts, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    OrecAlgos, LockTimeExtensionTest,
+    ::testing::Values(tm::AlgoKind::GccEager, tm::AlgoKind::Lazy,
+                      tm::AlgoKind::RA),
     [](const ::testing::TestParamInfo<tm::AlgoKind> &info) {
         return tmemc::tests::algoName(info.param);
     });
