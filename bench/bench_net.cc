@@ -32,7 +32,7 @@
  * "bench_net_loopback" for the served one, so the perf gate can watch
  * the network stack's cost separately from the cache's.
  *
- * --tail arms the per-request tail tracer (obs/tail.h) for every
+ * --tail arms the per-request tail tracer (obs/trace.h) for every
  * loopback leg, suffixes the loopback row's branch with "+tail" (an
  * additive row: armed cost is tracked separately, never compared
  * against the disarmed baseline), skips the inproc row (the
@@ -62,7 +62,7 @@
 #include "net/server.h"
 #include "obs/hist.h"
 #include "obs/metrics.h"
-#include "obs/tail.h"
+#include "obs/trace.h"
 #include "tm/api.h"
 #include "workload/memslap.h"
 

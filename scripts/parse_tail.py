@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Render tmemc-tail-v1 dumps: per-request timelines + tail blame.
 
-The tail tracer (src/obs/tail.h) keeps the K slowest requests with
+The tail tracer (src/obs/trace.h) keeps the K slowest requests with
 their full parse->exec->tx-attempts->flush span chains; tmemc_server
 --tail-json (or the `tail` admin command, or bench_net --tail-json)
 dumps them as:
@@ -33,7 +33,7 @@ import sys
 
 
 # Span-time categories, keyed on the exact outcome strings
-# txOutcomeName() emits (src/obs/tail.cc). A tx attempt that did not
+# txOutcomeName() emits (src/obs/trace.cc). A tx attempt that did not
 # commit is wasted time: conflict aborts and retries are "abort"
 # blame; serial switches and ro-fast promotions restart in serial
 # mode, so they and committed-serial attempts are "serial" blame.

@@ -14,7 +14,7 @@
 
 #include "mc/ctx.h"
 #include "obs/metrics.h"
-#include "obs/tail.h"
+#include "obs/trace.h"
 
 namespace tmemc::mc
 {
@@ -297,7 +297,7 @@ protocolExecute(CacheIface &cache, std::uint32_t worker,
         }
         if (tok.size() >= 2 && tok[1] == "tail") {
             // The tail tracer's merged reservoir: the K slowest
-            // requests with their span chains (obs/tail.h). Arm with
+            // requests with their span chains (obs/trace.h). Arm with
             // tmemc_server --tail; disarmed it reports tail_armed 0.
             return obs::tail::tailAsciiRows() + "END\r\n";
         }

@@ -51,7 +51,7 @@
 
 #include "mc/protocol.h"
 #include "mc/reply.h"
-#include "obs/tail.h"
+#include "obs/trace.h"
 
 namespace tmemc::net
 {

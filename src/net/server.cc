@@ -21,7 +21,7 @@
 #include "mc/protocol.h"
 #include "net/sys.h"
 #include "obs/metrics.h"
-#include "obs/tail.h"
+#include "obs/trace.h"
 
 namespace tmemc::net
 {

@@ -19,19 +19,21 @@
  * same JSON the `metrics` admin command serves) to PATH after the
  * drain; --trace arms the flight recorder, whose ring is dumped to
  * stderr on panic/fatal.
- * --tail arms the per-request tail tracer (obs/tail.h): the K slowest
- * requests (--tail-k, default 32 per thread) keep their full
- * parse→flush span chains, served live via `stats tail` or the `tail`
- * admin command and written as tmemc-tail-v1 JSON to --tail-json PATH
- * after the drain (either flag arms the tracer). --slow-shard arms
- * the mc.shard<IDX>.op fault site with a DELAY_US stall every EVERY_N
- * ops (default 1) — the injected slow shard the tail soak blames.
+ * --tail arms the recorder's request span chains (obs/trace.h): the K
+ * slowest requests (--tail-k, at most 4096 per thread; 0 or unset: 32)
+ * keep their full parse→flush span chains, served live via `stats
+ * tail` or the `tail` admin command and written as tmemc-tail-v1 JSON
+ * to --tail-json PATH after the drain (either flag arms the tracer).
+ * --slow-shard arms the mc.shard<IDX>.op fault site with a DELAY_US
+ * stall every EVERY_N ops (default 1) — the injected slow shard the
+ * tail soak blames.
  * Try:
  *   ./build/src/net/tmemc_server --branch IT-onCommit --port 11211 &
  *   printf 'set k 0 0 5\r\nhello\r\nget k\r\nquit\r\n' | nc 127.0.0.1 11211
  */
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -45,7 +47,6 @@
 #include "mc/sharded_cache.h"
 #include "net/server.h"
 #include "obs/metrics.h"
-#include "obs/tail.h"
 #include "obs/trace.h"
 #include "tm/api.h"
 
@@ -84,6 +85,19 @@ main(int argc, char **argv)
     std::string tail_json;
     std::string slow_shard;
     int verbose = 0;
+    auto usage = [&]() {
+        std::fprintf(stderr,
+                     "usage: %s [--branch NAME] [--port N] "
+                     "[--workers N] [--shards N] [--mem MB] "
+                     "[--max-conns N] [--idle-timeout MS] "
+                     "[--drain-ms MS] "
+                     "[--metrics-json PATH] "
+                     "[--trace] [--verbose] "
+                     "[--tail] [--tail-k N] [--tail-json PATH] "
+                     "[--slow-shard IDX:DELAY_US[:EVERY_N]]\n",
+                     argv[0]);
+        return 2;
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
         auto next = [&]() -> const char * {
@@ -112,28 +126,28 @@ main(int argc, char **argv)
             trace = true;
         else if (a == "--tail")
             tail = true;
-        else if (a == "--tail-k")
-            tail_k = static_cast<std::size_t>(std::atoi(next()));
-        else if (a == "--tail-json") {
+        else if (a == "--tail-k") {
+            // Whole string, digits only: atoi would turn "-1" into
+            // SIZE_MAX, a reservoir that never trims.
+            const char *s = next();
+            char *end = nullptr;
+            const unsigned long long k =
+                std::isdigit(static_cast<unsigned char>(*s))
+                    ? std::strtoull(s, &end, 10)
+                    : 0;
+            if (end == nullptr || *end != '\0' ||
+                k > obs::tail::kMaxTailK)
+                return usage();
+            tail_k = static_cast<std::size_t>(k);
+        } else if (a == "--tail-json") {
             tail_json = next();
             tail = true;
         } else if (a == "--slow-shard")
             slow_shard = next();
         else if (a == "--verbose")
             verbose = 1;
-        else {
-            std::fprintf(stderr,
-                         "usage: %s [--branch NAME] [--port N] "
-                         "[--workers N] [--shards N] [--mem MB] "
-                         "[--max-conns N] [--idle-timeout MS] "
-                         "[--drain-ms MS] "
-                         "[--metrics-json PATH] "
-                         "[--trace] [--verbose] "
-                         "[--tail] [--tail-k N] [--tail-json PATH] "
-                         "[--slow-shard IDX:DELAY_US[:EVERY_N]]\n",
-                         argv[0]);
-            return 2;
-        }
+        else
+            return usage();
     }
 
     // IT-RA expects the release-acquire STM; every other branch gets

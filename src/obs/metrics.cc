@@ -84,7 +84,12 @@ MetricsRegistry::resetHistograms()
 bool
 MetricsRegistry::writeJsonFile(const std::string &path) const
 {
-    const std::string text = snapshot().toJson();
+    return writeTextFile(path, snapshot().toJson());
+}
+
+bool
+writeTextFile(const std::string &path, const std::string &text)
+{
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr)
         return false;

@@ -127,6 +127,9 @@ class MetricsRegistry
     Histogram hists_[kHistKinds];
 };
 
+/** Write @p text to @p path (replacing it); false on I/O error. */
+bool writeTextFile(const std::string &path, const std::string &text);
+
 /** Shorthand for the hot paths: obs::hist(HistKind::Tx).record(ns). */
 inline Histogram &
 hist(HistKind k)

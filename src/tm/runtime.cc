@@ -13,7 +13,6 @@
 #include "common/logging.h"
 #include "obs/hist.h"
 #include "obs/metrics.h"
-#include "obs/tail.h"
 #include "obs/trace.h"
 #include "tm/api.h"
 #include "tm/strict.h"
@@ -329,11 +328,10 @@ beginAttempt(Runtime &rt, TxDesc &d)
     // Latch the opacity recorder before any lock wait or access: the
     // begin stamp may only predate the attempt's first access.
     opacity::beginRecord(d);
-    obs::traceRecord(obs::TraceEvent::TxBegin, d.attr->name);
-    // Tail span opens before any lock wait: a serial attempt's wait
-    // for the write lock is part of the serialization cost the span
-    // must attribute.
-    obs::tail::noteTxBegin(d.attr->name, serial, d.obsAttempts);
+    // Recorded before any lock wait: a serial attempt's wait for the
+    // write lock is part of the serialization cost the span must
+    // attribute.
+    obs::txBegin(d.attr->name, serial, d.obsAttempts);
     if (serial) {
         // Serial-mode time includes the wait for the write lock: that
         // wait is part of the serialization cost the paper measures.
@@ -440,9 +438,8 @@ finishCommit(Runtime &rt, TxDesc &d)
     // quantiles read directly as attempt counts (see obs/metrics.h).
     obs::hist(obs::HistKind::TxAttempts)
         .record(std::uint64_t{d.obsAttempts} * 1000);
-    obs::traceRecord(obs::TraceEvent::TxCommit, d.attr->name);
-    obs::tail::noteTxEnd(obs::tail::TxOutcome::Commit,
-                         d.state == RunState::SerialIrrevocable);
+    obs::txEnd(obs::tail::TxOutcome::Commit, d.attr->name,
+               d.state == RunState::SerialIrrevocable);
 
     d.state = RunState::Inactive;
     d.nesting = 0;
@@ -462,11 +459,18 @@ finishCommit(Runtime &rt, TxDesc &d)
     d.onCommitHandlers.runAndClear();
 }
 
-void
-handleAbort(Runtime &rt, TxDesc &d)
+namespace
 {
-    if (d.state == RunState::SerialIrrevocable)
-        panic("serial-irrevocable transaction '%s' aborted", d.attr->name);
+
+/**
+ * End a failed speculative attempt: roll back, unpublish the start,
+ * drop the serial read lock, close the opacity record, reclaim
+ * speculative allocations and run the onAbort handlers.
+ * @return whether the attempt ran on the invisible-reader fast path.
+ */
+bool
+tearDownAttempt(Runtime &rt, TxDesc &d)
+{
     const bool was_ro_fast = d.roFast;
     d.roFast = false;
     rt.algo().rollback(rt, d);
@@ -488,12 +492,23 @@ handleAbort(Runtime &rt, TxDesc &d)
 
     d.onAbortHandlers.runAndClear();
     d.onCommitHandlers.clear();
+    return was_ro_fast;
+}
+
+} // namespace
+
+void
+handleAbort(Runtime &rt, TxDesc &d)
+{
+    if (d.state == RunState::SerialIrrevocable)
+        panic("serial-irrevocable transaction '%s' aborted", d.attr->name);
+    const bool was_ro_fast = tearDownAttempt(rt, d);
 
     if (d.abortIsSwitch) {
         // The rollback exists only to restart in serial mode; it does
         // not feed the contention manager.
         d.abortIsSwitch = false;
-        obs::tail::noteTxEnd(obs::tail::TxOutcome::Switch, false);
+        obs::txEnd(obs::tail::TxOutcome::Switch, d.attr->name, false);
         return;
     }
     if (was_ro_fast && d.roPromote) {
@@ -502,7 +517,7 @@ handleAbort(Runtime &rt, TxDesc &d)
         // instrumented; the contention manager is not consulted.
         d.stats.total.roPromotions++;
         d.stats.site(d.attr).roPromotions++;
-        obs::tail::noteTxEnd(obs::tail::TxOutcome::Promote, false);
+        obs::txEnd(obs::tail::TxOutcome::Promote, d.attr->name, false);
         return;
     }
     if (was_ro_fast) {
@@ -513,8 +528,7 @@ handleAbort(Runtime &rt, TxDesc &d)
         d.roPromote = true;
     }
 
-    obs::traceRecord(obs::TraceEvent::TxAbort, d.attr->name);
-    obs::tail::noteTxEnd(obs::tail::TxOutcome::Abort, false);
+    obs::txEnd(obs::tail::TxOutcome::Abort, d.attr->name, false);
     d.stats.total.aborts++;
     d.stats.site(d.attr).aborts++;
     d.consecAborts++;
@@ -528,16 +542,10 @@ handleAbort(Runtime &rt, TxDesc &d)
 void
 promoteRoFast(TxDesc &d, const char *what)
 {
-    obs::traceRecord(obs::TraceEvent::TxAbort, what);
-    obs::tail::noteTxCause(what);
+    obs::txCause(obs::tail::TxOutcome::Promote, what);
     d.roPromote = true;
     throw TxAbort{};
 }
-
-} // namespace detail
-
-namespace detail
-{
 
 void
 handleRetry(Runtime &rt, TxDesc &d)
@@ -555,22 +563,7 @@ handleRetry(Runtime &rt, TxDesc &d)
         norec ? d.norecSnapshot
               : dom.norecSeq.load(std::memory_order_acquire);
 
-    const bool was_ro_fast = d.roFast;
-    d.roFast = false;
-    rt.algo().rollback(rt, d);
-    d.unpublishStart();
-    if (rt.cfg().useSerialLock)
-        dom.serialLock.readUnlock();
-    opacity::finishRecord(d, /*committed=*/false, /*serial=*/false,
-                          was_ro_fast);
-    d.state = RunState::Inactive;
-    d.nesting = 0;
-    for (void *p : d.abortFrees)
-        std::free(p);
-    d.abortFrees.clear();
-    d.commitFrees.clear();
-    d.onAbortHandlers.runAndClear();
-    d.onCommitHandlers.clear();
+    tearDownAttempt(rt, d);
     d.stats.total.retries++;
     d.stats.site(d.attr).retries++;
 
@@ -587,7 +580,7 @@ handleRetry(Runtime &rt, TxDesc &d)
     }
     // Closed after the wait: the blocked time is the retry's cost,
     // and the tail span chain must show where it went.
-    obs::tail::noteTxEnd(obs::tail::TxOutcome::Retry, false);
+    obs::txEnd(obs::tail::TxOutcome::Retry, d.attr->name, false);
 }
 
 } // namespace detail
@@ -627,8 +620,7 @@ unsafeOp(TxDesc &d, const char *what)
     }
     // Record what forced the switch (the diagnostic the paper had to
     // build into GCC via execinfo).
-    obs::traceRecord(obs::TraceEvent::TxSerialSwitch, what);
-    obs::tail::noteTxCause(what);
+    obs::txCause(obs::tail::TxOutcome::Switch, what);
     d.stats.switchBlame[d.attr][what]++;
     d.pendingSerialRestart = true;
     d.abortIsSwitch = true;

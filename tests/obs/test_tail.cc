@@ -21,7 +21,7 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "obs/hist.h"
-#include "obs/tail.h"
+#include "obs/trace.h"
 #include "tm/api.h"
 
 namespace
@@ -170,7 +170,7 @@ TEST_F(TailReservoirTest, SerialSwitchAttributionThroughRuntime)
     tm::Runtime::get().configure(tm::RuntimeCfg{});
     obs::tail::armTail(8);
     ASSERT_NE(obs::tail::beginRequest(7, true, obs::nowNanos()), 0u);
-    obs::tail::noteShard(3);
+    obs::noteShard(3);
 
     // A relaxed transaction that hits an unsafe op: attempt 1 must
     // record a serial-switch with the unsafeOp site as its cause,

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "litmus_harness.h"
-#include "obs/tail.h"
+#include "obs/trace.h"
 #include "tm/api.h"
 #include "tm_test_util.h"
 
